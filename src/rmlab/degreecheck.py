@@ -1,24 +1,26 @@
 """Degree certification through iterated additive derivatives.
 
 A table f: F_p^n -> T has degree <= d exactly when every (d+1)-fold
-derivative D_{a_1}...D_{a_{d+1}} f vanishes identically.  Exhaustive mode
-walks the tree of iterated derivative tables level by level, deduplicating
-tables and pruning zero tables; this is logically identical to scanning all
-p^{n(d+1)} ordered direction tuples (derivatives of equal tables are equal,
-and derivatives of the zero table stay zero) while doing far less work.
-Sampled mode checks a seeded batch of random direction tuples, vectorized
-over the whole batch; it can certify a true degree bound but refutes one
-only when it happens to hit a witness.
+derivative D_{a_1}...D_{a_{d+1}} f vanishes.  Shifts commute and
+T_{e_i} = I + Delta_i with Delta_i = D_{e_i}, so every D_a is an integer
+polynomial in the Delta_i without constant term: the (d+1)-fold derivatives
+all vanish exactly when Delta^alpha f = 0 for every |alpha| = d+1.  The
+exact basis walk checks those chains depth first, pruning zero tables, so
+it builds at most C(n+d+1, d+1) tables where a tuple scan needs p^{n(d+1)}.
+Sampled mode checks a seeded batch of random direction tuples instead when
+the walk would build more tables than the batch; that certifies a true
+degree bound but refutes one only when it happens to hit a witness.
 
-On failure the checker reports the witnessing directions and point, which
-can be re-verified independently through ``words.derivative_table``.
+Witnesses (directions and a point) re-verify independently through
+``words.derivative_table``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from math import comb
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,9 +45,14 @@ class DegreeWitness:
 
 @dataclass(frozen=True)
 class DegreeCheck:
+    """``cases`` is the nominal count (p^{n(d+1)} tuples when exhaustive,
+    ``trials`` when sampled); ``tables`` counts the derivative tables the
+    check actually built."""
+
     ok: bool
     mode: str
     cases: int
+    tables: int
     witness: DegreeWitness | None = None
 
 
@@ -57,13 +64,48 @@ def apply_derivative_chain(word: Word, directions: Sequence[Sequence[int]]) -> W
     return out
 
 
+def _witness(word: Word, directions: Iterable, table: np.ndarray) -> DegreeWitness:
+    """The first nonzero point of a derivative table, as a witness."""
+    flat = table.reshape(-1)
+    idx = int(np.flatnonzero(flat)[0])
+    return DegreeWitness(
+        directions=tuple(directions),
+        point=index_to_point(word.prime, word.nvars, idx),
+        value=TorusValue(word.prime, int(flat[idx]), word.depth),
+    )
+
+
+def _basis_walk(word: Word, d: int) -> tuple[DegreeWitness | None, int]:
+    """Exact: the witness of the first nonzero chain of length d+1 (or
+    None) and the number of tables built.  Axis i of the (p,)*n view is
+    x_{i+1}, so rolling it by -1 shifts by e_{i+1}."""
+    p, n, m = word.prime, word.nvars, word.modulus
+    tables = 0
+    # depth-first with one (table, chain, next axis) entry per chain length,
+    # so at most d+2 tables are alive and no Python recursion is needed
+    stack = [(np.array(word.values, dtype=np.int64).reshape((p,) * n), (), 0)]
+    while stack:
+        table, chain, i = stack.pop()
+        if i == n:
+            continue
+        stack.append((table, chain, i + 1))
+        diff = (np.roll(table, -1, axis=i) - table) % m
+        tables += 1
+        if not diff.any():
+            continue
+        if len(chain) == d:
+            units = (tuple(int(j == k) for j in range(n)) for k in chain + (i,))
+            return _witness(word, units, diff), tables
+        stack.append((diff, chain + (i,), i))
+    return None, tables
+
+
 class _Shifts:
     """Per-direction gather arrays for one (p, n) domain, built lazily."""
 
     def __init__(self, p: int, n: int):
         self.p = p
         self.n = n
-        self.size = p**n
         self._cache: dict[int, np.ndarray] = {}
 
     def sigma(self, a_idx: int) -> np.ndarray:
@@ -75,59 +117,10 @@ class _Shifts:
         return arr
 
 
-def _exhaustive(word: Word, d: int, limits: FeasibilityLimits) -> DegreeCheck:
-    p, n = word.prime, word.nvars
-    size = p**n
-    nominal = size ** (d + 1)
-    limits.check_cases(nominal, "exhaustive derivative check")
-    m = word.modulus
-    shifts = _Shifts(p, n)
-
-    base = tuple(word.values)
-    levels: list[dict[tuple, tuple]] = []
-    frontier: dict[tuple, tuple] = {base: (None, None)}
-    if all(v == 0 for v in base):
-        frontier = {}
-    for _ in range(d + 1):
-        if not frontier:
-            break
-        nxt: dict[tuple, tuple] = {}
-        for tbl in frontier:
-            arr = np.array(tbl, dtype=np.int64)
-            for a_idx in range(1, size):
-                der = (arr[shifts.sigma(a_idx)] - arr) % m
-                if not der.any():
-                    continue
-                key = tuple(int(v) for v in der)
-                if key not in nxt:
-                    nxt[key] = (tbl, a_idx)
-        levels.append(nxt)
-        frontier = nxt
-
-    if not frontier or len(levels) < d + 1:
-        return DegreeCheck(ok=True, mode=EXHAUSTIVE, cases=nominal)
-
-    # reconstruct a witness chain from the parent links
-    tbl = next(iter(frontier))
-    chain: list[int] = []
-    for level in range(d, -1, -1):
-        parent, a_idx = levels[level][tbl]
-        chain.append(a_idx)
-        tbl = parent
-    chain.reverse()
-    final = next(iter(frontier))
-    point_idx = next(i for i, v in enumerate(final) if v)
-    witness = DegreeWitness(
-        directions=tuple(index_to_point(p, n, a) for a in chain),
-        point=index_to_point(p, n, point_idx),
-        value=TorusValue(p, final[point_idx], word.depth),
-    )
-    return DegreeCheck(ok=False, mode=EXHAUSTIVE, cases=nominal, witness=witness)
-
-
-def _sampled(
-    word: Word, d: int, trials: int, seed: int, limits: FeasibilityLimits
-) -> DegreeCheck:
+def _sample(
+    word: Word, d: int, trials: int, seed: int
+) -> tuple[DegreeWitness | None, int]:
+    """Seeded random direction tuples; returns (witness or None, tables)."""
     p, n = word.prime, word.nvars
     size = p**n
     m = word.modulus
@@ -146,10 +139,12 @@ def _sampled(
     base = np.array(word.values, dtype=np.int64)
 
     chunk = 2048
+    tables = 0
     for start in range(0, trials, chunk):
         block = tuples[start : start + chunk]
         dirs = np.array(block, dtype=np.int64)
         rows = len(block)
+        tables += rows * (d + 1)
         v = np.tile(base, (rows, 1))
         row_idx = np.arange(rows)[:, None]
         for level in range(d + 1):
@@ -161,18 +156,9 @@ def _sampled(
         nonzero_rows = np.nonzero(v.any(axis=1))[0]
         if nonzero_rows.size:
             row = int(nonzero_rows[0])
-            col = int(np.nonzero(v[row])[0][0])
-            witness = DegreeWitness(
-                directions=tuple(
-                    index_to_point(p, n, a) for a in block[row]
-                ),
-                point=index_to_point(p, n, col),
-                value=TorusValue(p, int(v[row, col]), word.depth),
-            )
-            return DegreeCheck(
-                ok=False, mode=SAMPLED, cases=trials, witness=witness
-            )
-    return DegreeCheck(ok=True, mode=SAMPLED, cases=trials)
+            directions = (index_to_point(p, n, a) for a in block[row])
+            return _witness(word, directions, v[row]), tables
+    return None, tables
 
 
 def verify_degree_by_derivatives(
@@ -187,18 +173,27 @@ def verify_degree_by_derivatives(
 
     ``mode`` is ``exhaustive``, ``sampled``, or ``auto`` (exhaustive when
     the nominal tuple count p^{n(d+1)} fits the cap, sampled otherwise).
-    Exhaustive mode raises :class:`FeasibilityError` when over the cap.
+    Exhaustive mode raises :class:`FeasibilityError` over the cap, else runs
+    the exact basis walk.  Sampled mode runs the same walk when its
+    C(n+d+1, d+1) chains fit in ``trials * (d+1)`` tables and the cap, and
+    otherwise checks ``trials`` seeded random direction tuples.
     """
     if word.kind != TORUS:
         raise ValueError("degree checks act on torus-valued words")
     if d < 0:
         raise ValueError("degree bound must be >= 0")
     lim = resolve(limits)
+    nominal = (word.prime**word.nvars) ** (d + 1)
     if mode == AUTO:
-        nominal = (word.prime**word.nvars) ** (d + 1)
         mode = EXHAUSTIVE if nominal <= lim.exhaustive_cap else SAMPLED
     if mode == EXHAUSTIVE:
-        return _exhaustive(word, d, lim)
-    if mode == SAMPLED:
-        return _sampled(word, d, trials, seed, lim)
-    raise ValueError(f"unknown mode {mode!r}")
+        lim.check_cases(nominal, "exhaustive derivative check")
+    elif mode != SAMPLED:
+        raise ValueError(f"unknown mode {mode!r}")
+    chains = comb(word.nvars + d + 1, d + 1)
+    if mode == EXHAUSTIVE or chains <= min(trials * (d + 1), lim.exhaustive_cap):
+        witness, tables = _basis_walk(word, d)
+    else:
+        witness, tables = _sample(word, d, trials, seed)
+    cases = nominal if mode == EXHAUSTIVE else trials
+    return DegreeCheck(witness is None, mode, cases, tables, witness)

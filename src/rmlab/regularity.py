@@ -75,9 +75,6 @@ class SimplexFunction:
     def constant(cls, alphabet: int, weights: Sequence[Fraction], size: int) -> "SimplexFunction":
         return cls(alphabet, (tuple(weights),) * size)
 
-    def is_deterministic(self) -> bool:
-        return all(any(w == 1 for w in row) for row in self.table)
-
 
 def agreement_prob(f: SimplexFunction, g: SimplexFunction) -> Fraction:
     """Pr_x[f(x) = g(x)] = E_x <f(x), g(x)>, exact."""

@@ -322,10 +322,16 @@ def _check_scalar_degree(params: dict, limits: FeasibilityLimits):
         classical top-degree terms are killed outright);
       * depth(p*f) = k - 1 whenever k >= 1;
       * for units c in {1, ..., p-1}: degree and depth are unchanged;
-      * (d+1)-fold derivatives of the table vanish (exhaustive when the
-        tuple space fits the cap, sampled otherwise), and when the d-fold
+      * (d+1)-fold derivatives of the table vanish, and when the d-fold
         exhaustive check is feasible it finds a witness, i.e. the degree is
         exactly d.
+
+    The upper-side check is labelled ``exhaustive`` when the nominal tuple
+    count p^{n(d+1)} fits the cap and ``sampled`` otherwise; both run the
+    exact basis walk of :mod:`rmlab.degreecheck` whenever its chain count
+    fits ``trials * (d+1)`` tables.  The lower-side check stays gated by
+    the nominal count p^{nd}, so the ``lower_side_checked`` tally is the
+    number of polynomials under that gate.
     """
     p = params["p"]
     nmax, depthmax = params["nmax"], params["depthmax"]

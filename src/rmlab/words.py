@@ -20,8 +20,7 @@ Text format: a header line ``<p> <n> <alphabet>`` with alphabet ``field`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .limits import FeasibilityLimits, resolve
 from .torus import TorusValue, require_prime
@@ -43,15 +42,6 @@ def index_to_point(p: int, n: int, idx: int) -> tuple[int, ...]:
         digits[i] = idx % p
         idx //= p
     return tuple(digits)
-
-
-def all_points(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    for idx in range(p**n):
-        yield index_to_point(p, n, idx)
-
-
-def add_points(p: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple((x + y) % p for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -110,9 +100,6 @@ class Word:
             raise ValueError("not a torus word")
         return TorusValue(self.prime, self.values[idx], self.depth)
 
-    def entry_fraction(self, idx: int) -> Fraction:
-        return Fraction(self.values[idx], self.modulus)
-
     def is_constant(self) -> bool:
         first = self.values[0]
         return all(v == first for v in self.values)
@@ -157,17 +144,6 @@ def iota_word(word: Word) -> Word:
     if word.kind == TORUS:
         return word
     return Word(word.prime, word.nvars, TORUS, 0, word.values)
-
-
-def lift_depth(word: Word, depth: int) -> Word:
-    """Re-declare a torus word at a larger depth (rescaling numerators)."""
-    if word.kind != TORUS:
-        raise ValueError("lift_depth needs a torus word")
-    if depth < word.depth:
-        raise ValueError("cannot lower the declared depth")
-    scale = word.prime ** (depth - word.depth)
-    return Word(word.prime, word.nvars, TORUS, depth,
-                tuple(v * scale for v in word.values))
 
 
 def shift_indices(p: int, n: int, a: Sequence[int]) -> list[int]:

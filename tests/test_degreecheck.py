@@ -1,4 +1,10 @@
+import random
+import sys
+from itertools import product
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmlab import (
     FeasibilityLimits,
@@ -11,7 +17,8 @@ from rmlab import (
     verify_degree_by_derivatives,
     zero_poly,
 )
-from rmlab.degreecheck import apply_derivative_chain
+from rmlab.degreecheck import _basis_walk, _sample, apply_derivative_chain
+from rmlab.words import point_to_index
 
 
 def test_derivative_examples():
@@ -109,3 +116,102 @@ def test_derivatives_of_classical_drop_degree(rng):
         for a in product(range(p), repeat=n):
             fitted = canonical_fit(derivative_table(word, a), 0)
             assert fitted.degree() <= d - 1
+
+
+# --- the basis walk against a brute-force scan of every direction tuple ---
+
+# (p, n, d) shapes whose p^{n(d+1)} tuples the brute-force oracle can scan
+SHAPES = [
+    (p, n, d)
+    for p in (2, 3, 5)
+    for n in (1, 2, 3)
+    for d in range(10)
+    if (p**n) ** (d + 1) <= 1024
+]
+
+
+def oracle_degree_at_most(word, d):
+    """Every (d+1)-fold derivative over all p^{n(d+1)} ordered direction
+    tuples, through the slow reference path."""
+    p, n = word.prime, word.nvars
+    directions = list(product(range(p), repeat=n))
+    return all(
+        not any(apply_derivative_chain(word, chain).values)
+        for chain in product(directions, repeat=d + 1)
+    )
+
+
+def assert_basis_witness(word, d, witness):
+    n = word.nvars
+    assert len(witness.directions) == d + 1
+    assert all(sorted(a) == [0] * (n - 1) + [1] for a in witness.directions)
+    idx = point_to_index(word.prime, witness.point)
+    value = apply_derivative_chain(word, witness.directions).torus_value(idx)
+    assert value == witness.value and not value.is_zero()
+
+
+@st.composite
+def tables_and_bounds(draw):
+    p, n, d = draw(st.sampled_from(SHAPES))
+    depth = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        poly = random_canonical_poly(p, n, depth, random.Random(draw(st.integers(0, 2**32))))
+        word = poly.to_word()
+    else:
+        m = p ** (depth + 1)
+        values = draw(st.lists(st.integers(0, m - 1), min_size=p**n, max_size=p**n))
+        word = Word.torus_word(p, n, depth, values)
+    return word, d
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tables_and_bounds())
+def test_basis_walk_matches_tuple_oracle(case):
+    word, d = case
+    witness, tables = _basis_walk(word, d)
+    assert (witness is None) == oracle_degree_at_most(word, d)
+    assert 0 < tables < comb(word.nvars + d + 1, d + 1)
+    if witness is not None:
+        assert_basis_witness(word, d, witness)
+    res = verify_degree_by_derivatives(word, d, mode="exhaustive")
+    assert (res.ok, res.witness, res.tables) == (witness is None, witness, tables)
+
+
+# --- sampled mode: the exact walk within budget, the sampler beyond it ---
+
+
+def test_sampled_mode_walks_within_budget():
+    w = monomial_poly(3, 3, (2, 2, 1)).to_word()  # degree 5
+    res = verify_degree_by_derivatives(w, 4, mode="sampled", trials=100, seed=0)
+    assert (res.ok, res.mode, res.cases) == (False, "sampled", 100)
+    assert res.tables < comb(3 + 5, 5) <= 100 * 5
+    assert_basis_witness(w, 4, res.witness)
+    assert verify_degree_by_derivatives(w, 5, mode="sampled", trials=100, seed=0).ok
+
+
+def test_sampled_mode_refutes_what_the_sampler_misses():
+    w = monomial_poly(2, 1, (1,)).to_word()  # degree 1
+    seed = next(s for s in range(100) if _sample(w, 0, 2, s)[0] is None)
+    res = verify_degree_by_derivatives(w, 0, mode="sampled", trials=2, seed=seed)
+    assert not res.ok
+    assert_basis_witness(w, 0, res.witness)
+
+
+def test_sampled_mode_over_budget_uses_seeded_sampler():
+    w = monomial_poly(2, 6, (1,) * 6).to_word()  # degree 6
+    # C(12, 6) = 924 chains exceed 100 trials * 6 tables
+    a = verify_degree_by_derivatives(w, 5, mode="sampled", trials=100, seed=3)
+    assert a == verify_degree_by_derivatives(w, 5, mode="sampled", trials=100, seed=3)
+    assert (a.ok, a.cases, a.tables) == (False, 100, 100 * 6)
+    chain = apply_derivative_chain(w, a.witness.directions)
+    assert chain.torus_value(point_to_index(2, a.witness.point)) == a.witness.value
+    assert verify_degree_by_derivatives(w, 6, mode="sampled", trials=100, seed=3).ok
+
+
+def test_basis_walk_deeper_than_recursion_limit():
+    p = 1009
+    w = monomial_poly(p, 1, (p - 1,)).to_word()  # degree 1008
+    assert sys.getrecursionlimit() < p
+    res = verify_degree_by_derivatives(w, p - 2, mode="sampled", trials=2)
+    assert not res.ok and res.tables == p - 1
+    assert verify_degree_by_derivatives(w, p - 1, mode="sampled", trials=2).ok

@@ -95,6 +95,24 @@ class TestScalarDegree:
             assert report.details["exhaustive"] + report.details["sampled"] == 60
 
 
+class TestDefaultDegreePlan:
+    # mode labels and the lower-side gate follow the nominal tuple counts,
+    # so these details pin the default plan whatever work the checks do
+    @pytest.mark.parametrize(
+        "claim, row, details",
+        [
+            ("SCALAR_DEGREE", 13, {"exhaustive": 500, "sampled": 0, "lower_side_checked": 491}),
+            ("SCALAR_DEGREE", 14, {"exhaustive": 299, "sampled": 201, "lower_side_checked": 327}),
+            ("DEG_COEF", 16, {"checked": 27, "skipped": 23}),
+        ],
+    )
+    def test_details(self, claim, row, details):
+        assert DEFAULT_RUNS[row][0] == claim
+        report = run_check(*DEFAULT_RUNS[row])
+        assert report.passed, report.counterexample
+        assert report.details == details
+
+
 class TestHtildeUniform:
     def test_decay_and_threshold(self):
         report = run_check(
