@@ -25,6 +25,7 @@ from .polynomial import NonclassicalPoly, canonical_fit
 from .rmcode import (
     CodeParams,
     ball_count,
+    codeword,
     delta,
     enumerate_code,
     johnson_radius,
@@ -40,6 +41,7 @@ from .regularity import (
     rank_bruteforce,
     weak_regularize,
 )
+from .torus import frac_str, parse_fraction
 from .words import Word, iota_word, random_field_word
 
 CSV_VERSION = "rm-list-lab v1"
@@ -48,19 +50,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Exact parsing of 'num/den', decimal strings, and integers."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text)  # exact for decimal strings like 0.375
 
 
 def _emit_rows(command: str, columns: list[str], rows: list[dict], fmt: str) -> None:
@@ -90,10 +79,7 @@ def _resolve_center(
         return "zero", Word.zeros(params.p, params.n)
     if spec.startswith("codeword:"):
         target = int(spec.split(":", 1)[1])
-        for idx, (_, word) in enumerate(enumerate_code(params, limits)):
-            if idx == target:
-                return f"codeword:{target}", word
-        raise ValueError(f"codeword index {target} out of range")
+        return f"codeword:{target}", codeword(params, target, limits)
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         return f"file:{path}", _load_word(path)

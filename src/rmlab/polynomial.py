@@ -35,7 +35,7 @@ import numpy as np
 
 from .limits import FeasibilityLimits, resolve
 from .torus import TorusValue, require_prime
-from .words import FIELD, TORUS, Word
+from .words import FIELD, TORUS, Word, monomial_table
 
 
 class NotAPolynomialError(Exception):
@@ -158,18 +158,12 @@ class NonclassicalPoly:
     def _numerator_table(self, depth: int, limits: FeasibilityLimits) -> np.ndarray:
         """Evaluate on all of F_p^n as numerators at the given depth."""
         p, n = self.prime, self.nvars
-        size = p**n
-        limits.check_table(size, "polynomial evaluation table")
+        limits.check_table(p**n, "polynomial evaluation table")
         mod = p ** (depth + 1)
-        idx = np.arange(size, dtype=np.int64)
-        cols = [(idx // p ** (n - 1 - i)) % p for i in range(n)]
-        acc = np.zeros(size, dtype=np.int64)
+        acc = np.zeros(p**n, dtype=np.int64)
         for m, c in self.terms.items():
-            term = np.full(size, c * p ** (depth - m.k) % mod, dtype=np.int64)
-            for i, e in enumerate(m.exps):
-                if e:
-                    term = term * (cols[i] ** e) % mod
-            acc = (acc + term) % mod
+            acc += monomial_table(p, n, m.exps, mod, c * p ** (depth - m.k))
+            acc %= mod
         return acc
 
     def to_word(self, limits: FeasibilityLimits | None = None) -> Word:
@@ -177,7 +171,7 @@ class NonclassicalPoly:
         lim = resolve(limits)
         k = self.depth()
         table = self._numerator_table(k, lim)
-        return Word(self.prime, self.nvars, TORUS, k, tuple(int(v) for v in table))
+        return Word(self.prime, self.nvars, TORUS, k, tuple(table.tolist()))
 
     def classical_field_word(self, limits: FeasibilityLimits | None = None) -> Word:
         """Field-valued table of a classical polynomial (iota inverted)."""
@@ -185,7 +179,7 @@ class NonclassicalPoly:
             raise ValueError("field tables exist only for classical polynomials")
         lim = resolve(limits)
         table = self._numerator_table(0, lim)
-        return Word(self.prime, self.nvars, FIELD, 0, tuple(int(v) for v in table))
+        return Word(self.prime, self.nvars, FIELD, 0, tuple(table.tolist()))
 
     # ---- arithmetic ------------------------------------------------------
 
@@ -267,12 +261,15 @@ class NonclassicalPoly:
         if not lines:
             raise ValueError("empty polynomial text")
         header = dict(part.split("=", 1) for part in lines[0].split())
-        p, n = int(header["p"]), int(header["n"])
         terms = {}
-        for ln in lines[1:]:
-            fields = dict(part.split("=", 1) for part in ln.split())
-            exps = tuple(int(v) for v in fields["e"].split(","))
-            terms[Monomial(exps, int(fields["k"]))] = int(fields["c"])
+        try:
+            p, n = int(header["p"]), int(header["n"])
+            for ln in lines[1:]:
+                fields = dict(part.split("=", 1) for part in ln.split())
+                exps = tuple(int(v) for v in fields["e"].split(","))
+                terms[Monomial(exps, int(fields["k"]))] = int(fields["c"])
+        except KeyError as exc:
+            raise ValueError(f"polynomial text has no {exc.args[0]}= field") from exc
         return cls(p, n, terms)
 
 
@@ -393,9 +390,7 @@ def interpolate_classical(
     return classical_from_coeffs(p, n, coeffs)
 
 
-def _as_torus_entries(
-    p: int, values: Iterable, max_depth: int
-) -> list[TorusValue]:
+def _as_torus_entries(p: int, values: Iterable) -> list[TorusValue]:
     entries = []
     for v in values:
         if isinstance(v, TorusValue):
@@ -436,7 +431,7 @@ def canonical_fit(
     else:
         if p is None or n is None:
             raise ValueError("raw tables need explicit p and n")
-        entries = _as_torus_entries(p, table, max_depth)
+        entries = _as_torus_entries(p, table)
         if len(entries) != p**n:
             raise ValueError(f"table length {len(entries)} != {p}^{n}")
     lim.check_table(p**n, "canonical fit")
@@ -446,34 +441,24 @@ def canonical_fit(
         raise NotAPolynomialError(
             f"table needs depth {depth}, allowed at most {max_depth}"
         )
-    nums = [e.numerator_at(depth) for e in entries]
-
-    idx = np.arange(p**n, dtype=np.int64)
-    cols = [(idx // p ** (n - 1 - i)) % p for i in range(n)]
+    # Python ints until the first layer's monomial_table call has refused a
+    # modulus whose numerators would not fit in int64
+    remaining = [e.numerator_at(depth) for e in entries]
     terms: dict[Monomial, int] = {}
-    remaining = np.array(nums, dtype=np.int64)
     for k in range(depth, -1, -1):
         mod = p ** (k + 1)
-        layer = Word(p, n, FIELD, 0, tuple(int(v) % p for v in remaining))
-        fitted = interpolate_classical(layer, lim)
+        fitted = interpolate_classical(Word.field_word(p, n, remaining), lim)
         contrib = np.zeros(p**n, dtype=np.int64)
         for m, c in fitted.terms.items():
             if m.k != 0:
                 raise AssertionError("classical fit returned deep terms")
-            if not any(m.exps):
-                if k > 0:
-                    raise NotAPolynomialError(
-                        f"table requires a nonzero shift at depth {k}"
-                    )
-                terms[Monomial(m.exps, k)] = c
-            else:
-                terms[Monomial(m.exps, k)] = c
-            term = np.full(p**n, c, dtype=np.int64)
-            for i, e in enumerate(m.exps):
-                if e:
-                    term = term * (cols[i] ** e) % mod
-            contrib = (contrib + term) % mod
-        remaining = (remaining - contrib) % mod
+            if k > 0 and not any(m.exps):
+                raise NotAPolynomialError(
+                    f"table requires a nonzero shift at depth {k}"
+                )
+            terms[Monomial(m.exps, k)] = c
+            contrib = (contrib + monomial_table(p, n, m.exps, mod, c)) % mod
+        remaining = (np.asarray(remaining, dtype=np.int64) - contrib) % mod
         if np.any(remaining % p):
             raise AssertionError("layer subtraction left a unit residue")
         remaining //= p

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,11 +31,8 @@ from .polynomial import (
     canonical_monomials,
     zero_poly,
 )
+from .torus import frac_str
 from .words import Word
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,6 @@ class SimplexFunction:
             row[v] = Fraction(1)
             rows.append(tuple(row))
         return cls(p, tuple(rows))
-
-    @classmethod
-    def constant(cls, alphabet: int, weights: Sequence[Fraction], size: int) -> "SimplexFunction":
-        return cls(alphabet, (tuple(weights),) * size)
 
 
 def agreement_prob(f: SimplexFunction, g: SimplexFunction) -> Fraction:
@@ -254,21 +247,21 @@ class DecompositionResult:
                 if len(letters) == 1 and sum(component) == 1:
                     parts.append(letters[0])
                 else:
-                    parts.append([_frac_str(w) for w in component])
+                    parts.append([frac_str(w) for w in component])
             return parts
 
         payload = {
-            "eps": _frac_str(self.eps),
+            "eps": frac_str(self.eps),
             "chosen": list(self.chosen),
             "trace": [
                 {
-                    "energy": _frac_str(step.energy),
+                    "energy": frac_str(step.energy),
                     "violator": step.violator,
                 }
                 for step in self.trace
             ],
             "gamma": [
-                {"atom": atom_repr(key), "dist": [_frac_str(w) for w in row]}
+                {"atom": atom_repr(key), "dist": [frac_str(w) for w in row]}
                 for key, row in sorted(self.gamma.items())
             ],
         }

@@ -29,7 +29,7 @@ import numpy as np
 from .limits import FeasibilityLimits, resolve
 from .polynomial import NonclassicalPoly, classical_from_coeffs, mul_classical
 from .torus import require_prime
-from .words import FIELD, Word, random_field_word
+from .words import FIELD, Word, index_digits, monomial_table, random_field_word
 
 
 def delta(p: int, d: int) -> Fraction:
@@ -107,17 +107,7 @@ class CodeParams:
 
 def _basis_matrix(params: CodeParams) -> np.ndarray:
     p, n = params.p, params.n
-    size = p**n
-    idx = np.arange(size, dtype=np.int64)
-    cols = [(idx // p ** (n - 1 - i)) % p for i in range(n)]
-    rows = []
-    for exps in params.basis:
-        row = np.ones(size, dtype=np.int64)
-        for i, e in enumerate(exps):
-            if e:
-                row = row * (cols[i] ** e) % p
-        rows.append(row)
-    return np.stack(rows) % p
+    return np.stack([monomial_table(p, n, exps, p) for exps in params.basis])
 
 
 def _coeff_block(params: CodeParams, start: int, count: int) -> np.ndarray:
@@ -126,10 +116,8 @@ def _coeff_block(params: CodeParams, start: int, count: int) -> np.ndarray:
     Index c maps to the base-p digits of c with the first basis monomial
     as the most significant digit (coefficient vectors in lexicographic
     order over the monomial basis)."""
-    m = params.num_monomials
-    p = params.p
     idx = np.arange(start, start + count, dtype=np.int64)
-    return np.stack([(idx // p ** (m - 1 - j)) % p for j in range(m)], axis=1)
+    return index_digits(params.p, params.num_monomials, idx).T
 
 
 def codeword_blocks(
@@ -150,6 +138,17 @@ def codeword_blocks(
         coeffs = _coeff_block(params, start, count)
         tables = coeffs @ basis % params.p
         yield start, coeffs, tables
+
+
+def codeword(
+    params: CodeParams, index: int, limits: FeasibilityLimits | None = None
+) -> Word:
+    """The codeword at position ``index`` of :func:`enumerate_code`'s order."""
+    params.check_feasible(limits)
+    if not 0 <= index < params.codeword_count:
+        raise ValueError(f"codeword index {index} out of range")
+    table = _coeff_block(params, index, 1) @ _basis_matrix(params) % params.p
+    return Word(params.p, params.n, FIELD, 0, tuple(table[0].tolist()))
 
 
 def poly_from_coeff_row(params: CodeParams, row: Sequence[int]) -> NonclassicalPoly:

@@ -27,22 +27,7 @@ import numpy as np
 from .limits import FeasibilityLimits, resolve
 from .polynomial import Monomial, NonclassicalPoly
 from .torus import require_prime
-from .words import FIELD, TORUS, Word
-
-
-def _block_products(r: int, A: int, p: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer products and mod-p products of each block, for all points."""
-    idx = np.arange(size, dtype=np.int64)
-    n = r * A
-    z_int = np.ones((size, r), dtype=np.int64)
-    z_mod = np.ones((size, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(A):
-            pos = i * A + j
-            col = (idx // p ** (n - 1 - pos)) % p
-            z_int[:, i] *= col
-            z_mod[:, i] = z_mod[:, i] * col % p
-    return z_int, z_mod
+from .words import FIELD, Word, monomial_table
 
 
 def htilde_poly(r: int, A: int, k: int, p: int) -> NonclassicalPoly:
@@ -64,13 +49,8 @@ def build_htilde(
     """Dense torus-valued table of h~ over F_p^{rA}, at depth k."""
     require_prime(p)
     lim = resolve(limits)
-    n = r * A
-    size = p**n
-    lim.check_table(size, "htilde table")
-    z_int, _ = _block_products(r, A, p, size)
-    mod = p ** (k + 1)
-    w = z_int.sum(axis=1) % mod
-    return Word(p, n, TORUS, k, tuple(int(v) for v in w))
+    lim.check_table(p ** (r * A), "htilde table")
+    return htilde_poly(r, A, k, p).to_word(lim)
 
 
 def lucas_digit_words(
@@ -89,9 +69,9 @@ def lucas_digit_words(
     n = r * A
     size = p**n
     lim.check_table(size, "digit word tables")
-    z_int, z_mod = _block_products(r, A, p, size)
-    mod = p ** (k + 1)
-    w = z_int.sum(axis=1) % mod
+    poly = htilde_poly(r, A, k, p)
+    w = np.array(poly.to_word(lim).values, dtype=np.int64)
+    z_mod = [monomial_table(p, n, m.exps, p) for m in poly.terms]
 
     digit_words = []
     for i in range(k + 1):
@@ -103,8 +83,8 @@ def lucas_digit_words(
     top = p**k
     coeffs = np.zeros((size, top + 1), dtype=np.int64)
     coeffs[:, 0] = 1
-    for i in range(r):
-        coeffs[:, 1:] = (coeffs[:, 1:] + coeffs[:, :-1] * z_mod[:, i : i + 1]) % p
+    for z in z_mod:
+        coeffs[:, 1:] = (coeffs[:, 1:] + coeffs[:, :-1] * z[:, None]) % p
     sym_words = []
     for i in range(k + 1):
         ell = p**i

@@ -32,6 +32,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def frac_str(x: Fraction) -> str:
+    """Exact ``num/den`` text of a fraction."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def parse_fraction(x) -> Fraction:
+    """Exact parse of ``num/den``, decimal strings like ``0.375`` and integers;
+    non-strings (numbers read from JSON) go through ``Fraction(x)``."""
+    if not isinstance(x, str):
+        return Fraction(x)
+    text = x.strip()
+    if "/" in text:
+        num, den = text.split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
 def require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")

@@ -51,8 +51,8 @@ from .special import (
     htilde_uniformity_deviation,
     lucas_digit_words,
 )
-from .torus import is_prime
-from .words import FIELD, Word, iota_word, point_to_index
+from .torus import frac_str, is_prime, parse_fraction
+from .words import FIELD, Word, index_to_point, iota_word, point_to_index
 
 PASS = "pass"
 FAIL = "fail"
@@ -87,21 +87,6 @@ class ClaimReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        if "/" in x:
-            num, den = x.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(x)
-    return Fraction(x)
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # individual checkers; each returns (status, cases, counterexample, details)
 
@@ -134,8 +119,8 @@ def _check_delta_product(params: dict, limits: FeasibilityLimits):
                         "p": p,
                         "d": d,
                         "c": c,
-                        "lhs": _frac_str(lhs),
-                        "rhs": _frac_str(rhs),
+                        "lhs": frac_str(lhs),
+                        "rhs": frac_str(rhs),
                     },
                     branches,
                 )
@@ -399,18 +384,18 @@ def _check_htilde_uniform(params: dict, limits: FeasibilityLimits):
     for r in rs:
         devs.append(htilde_uniformity_deviation(r, A, k, p))
         cases += 1
-    details = {"deviations": {str(r): _frac_str(d) for r, d in zip(rs, devs)}}
+    details = {"deviations": {str(r): frac_str(d) for r, d in zip(rs, devs)}}
     for (r1, d1), (r2, d2) in zip(zip(rs, devs), zip(rs[1:], devs[1:])):
         if not d2 < d1:
             return (
                 FAIL,
                 cases,
-                {"r1": r1, "dev1": _frac_str(d1), "r2": r2, "dev2": _frac_str(d2)},
+                {"r1": r1, "dev1": frac_str(d1), "r2": r2, "dev2": frac_str(d2)},
                 details,
             )
     threshold = params.get("threshold")
     if threshold is not None:
-        thr = _frac(threshold)
+        thr = parse_fraction(threshold)
         rlimit = params["rlimit"]
         hit = None
         r = rs[0]
@@ -480,7 +465,7 @@ def _check_deg_coef(params: dict, limits: FeasibilityLimits):
             row = gamma[xi]
             for widx in range(p ** (k + 1)):
                 # widx runs with w_0 as its most significant digit
-                wdigits = [(widx // p ** (k - i)) % p for i in range(k + 1)]
+                wdigits = index_to_point(p, k + 1, widx)
                 value = sum(wd * p**i for i, wd in enumerate(wdigits))
                 gp_values.append(row[value % mod])
         gp_word = Word(p, n1 + k + 1, FIELD, 0, tuple(gp_values))
@@ -540,7 +525,7 @@ def _check_thm1_desk(params: dict, limits: FeasibilityLimits):
     claim is made about the true constant.
     """
     p, d = params["p"], params["d"]
-    eps = _frac(params["eps"])
+    eps = parse_fraction(params["eps"])
     samples, seed = params["samples"], params["seed"]
     ns = list(params["ns"])
     eta = delta(p, d) - eps
@@ -552,7 +537,7 @@ def _check_thm1_desk(params: dict, limits: FeasibilityLimits):
         )
         maxima.append(result.count)
         cases += samples
-    details = {"eta": _frac_str(eta), "maxima": dict(zip(map(str, ns), maxima))}
+    details = {"eta": frac_str(eta), "maxima": dict(zip(map(str, ns), maxima))}
 
     unique_failures = None
     if params.get("check_unique_decoding", True):
@@ -607,8 +592,8 @@ def _check_thm2_family(params: dict, limits: FeasibilityLimits):
                 cases,
                 {
                     "member": member.to_text(),
-                    "distance": _frac_str(dist),
-                    "expected": _frac_str(radius),
+                    "distance": frac_str(dist),
+                    "expected": frac_str(radius),
                 },
                 {},
             )
@@ -619,7 +604,7 @@ def _check_thm2_family(params: dict, limits: FeasibilityLimits):
             {"distinct": len(seen), "emitted": cases, "expected": expect_size},
             {},
         )
-    return PASS, cases, None, {"size": expect_size, "radius": _frac_str(radius)}
+    return PASS, cases, None, {"size": expect_size, "radius": frac_str(radius)}
 
 
 def _check_johnson_gap(params: dict, limits: FeasibilityLimits):

@@ -20,9 +20,12 @@ Text format: a header line ``<p> <n> <alphabet>`` with alphabet ``field`` or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .limits import FeasibilityLimits, resolve
+import numpy as np
+
+from .limits import FeasibilityError, FeasibilityLimits, resolve
 from .torus import TorusValue, require_prime
 
 FIELD = "field"
@@ -42,6 +45,51 @@ def index_to_point(p: int, n: int, idx: int) -> tuple[int, ...]:
         digits[i] = idx % p
         idx //= p
     return tuple(digits)
+
+
+INT64_MAX = 2**63 - 1
+
+
+def index_digits(p: int, n: int, idx: np.ndarray) -> np.ndarray:
+    """Base-p digits of each index, most significant first: shape (n, len(idx))."""
+    return np.stack([(idx // p ** (n - 1 - i)) % p for i in range(n)])
+
+
+@lru_cache(maxsize=16)
+def digit_columns(p: int, n: int) -> np.ndarray:
+    """The (n, p**n) coordinates of every point of F_p^n: row i holds x_{i+1}
+    in the row-major order of :func:`point_to_index`.  Cached; read-only."""
+    cols = index_digits(p, n, np.arange(p**n, dtype=np.int64))
+    cols.flags.writeable = False
+    return cols
+
+
+def _require_int64(bound: int, mod: int) -> None:
+    if bound > INT64_MAX:
+        raise FeasibilityError(f"int64 arithmetic mod {mod}", bound, INT64_MAX)
+
+
+@lru_cache(maxsize=256)
+def _power_row(p: int, e: int, mod: int) -> np.ndarray:
+    """x**e mod m for x in 0..p-1, one row of the p x p power table; read-only."""
+    row = [pow(x, e, mod) for x in range(p)]
+    _require_int64((mod - 1) * max(row), mod)
+    out = np.array(row, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def monomial_table(p: int, n: int, exps: Sequence[int], mod: int, coeff: int = 1) -> np.ndarray:
+    """coeff * x_1**e_1 * ... * x_n**e_n mod m on all of F_p^n, a flat int64
+    table in :func:`point_to_index` order with entries below m.  Refuses
+    (FeasibilityError) a modulus where a residue times a power table entry,
+    or the sum of two residues that callers accumulate, leaves int64."""
+    _require_int64(2 * (mod - 1), mod)
+    powers = [(col, _power_row(p, e, mod)) for col, e in zip(digit_columns(p, n), exps) if e]
+    table = np.full(p**n, coeff % mod, dtype=np.int64)
+    for col, row in powers:
+        table = table * row[col] % mod
+    return table
 
 
 @dataclass(frozen=True)

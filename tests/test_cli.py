@@ -155,6 +155,46 @@ def test_rank_and_atoms_roundtrip(tmp_path):
     assert lines[2].startswith("1,2,1/4")
 
 
+def test_zero_denominator_radius_exit_2():
+    proc = run_cli(
+        "list-size", "--p", "2", "--n", "3", "--d", "1", "--radius", "1/0", "--center", "zero"
+    )
+    assert proc.returncode == 2
+    assert "zero denominator" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_zero_denominator_eps_exit_2():
+    proc = run_cli("weak-reg", "--p", "2", "--n", "3", "--d", "1", "--eps", "1/0")
+    assert proc.returncode == 2
+    assert "zero denominator" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_codeword_center_out_of_range_exit_2():
+    for index in ("128", "-1"):
+        proc = run_cli(
+            "list-size", "--p", "2", "--n", "3", "--d", "2", "--radius", "1/4",
+            "--center", f"codeword:{index}",
+        )
+        assert proc.returncode == 2
+        assert f"codeword index {index} out of range" in proc.stderr
+
+
+def test_poly_term_without_exponents_exit_2(tmp_path):
+    poly_path = tmp_path / "bad.poly"
+    poly_path.write_text("p=2 n=2\nc=1 k=0\n")
+    proc = run_cli("atoms", "--poly", str(poly_path))
+    assert proc.returncode == 2
+    assert "e=" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_poly_header_without_n_exit_2(tmp_path):
+    poly_path = tmp_path / "bad.poly"
+    poly_path.write_text("p=2\nc=1 e=1,1 k=0\n")
+    proc = run_cli("rank", "--poly", str(poly_path), "--d", "2")
+    assert proc.returncode == 2
+    assert "n=" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_canonical_fit_roundtrip(tmp_path):
     poly = monomial_poly(2, 1, (1,), k=1)
     word_path = tmp_path / "word.txt"

@@ -1,9 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rmlab import (
+    CodeParams,
     Monomial,
     NonclassicalPoly,
     NotAPolynomialError,
@@ -19,6 +22,9 @@ from rmlab import (
     symmetric_poly,
     zero_poly,
 )
+from rmlab.cli import main
+from rmlab.rmcode import _basis_matrix
+from rmlab.words import point_to_index
 from conftest import all_points, brute_force_eval
 
 
@@ -172,6 +178,63 @@ class TestCanonicalFit:
             assert canonical_fit(poly.to_word(), poly.depth()) == poly
 
 
+# --- the dense monomial kernel against the fraction oracle ---------------
+
+# largest n per prime that keeps the oracle's p^n points quick
+KERNEL_SHAPES = {2: 6, 3: 4, 5: 3, 7: 2, 17: 2, 19: 2, 23: 2}
+
+
+@st.composite
+def kernel_polys(draw):
+    p = draw(st.sampled_from(sorted(KERNEL_SHAPES)))
+    n = draw(st.integers(1, KERNEL_SHAPES[p]))
+    depth = draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 2**32))
+    return random_canonical_poly(p, n, depth, random.Random(seed), max_terms=5), depth
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kernel_polys())
+def test_dense_kernel_matches_fraction_oracle(case):
+    poly, depth = case
+    p, n = poly.prime, poly.nvars
+    word = poly.to_word()
+    for x in all_points(p, n):
+        assert word.torus_value(point_to_index(p, x)).as_fraction() == brute_force_eval(poly, x)
+    assert canonical_fit(word, depth) == poly
+    params = CodeParams(p, n, n * (p - 1))  # every exponent vector is a basis row
+    rows = _basis_matrix(params)
+    for m in poly.terms:
+        row = rows[params.basis.index(m.exps)]
+        mono = monomial_poly(p, n, m.exps)
+        assert row.tolist() == [mono.evaluate(x).numerator_at(0) for x in all_points(p, n)]
+
+
+def test_p17_table_top_power():
+    # 16**16 leaves int64; the table must still hold 16**16 mod 17 = 1
+    assert monomial_poly(17, 1, (16,)).to_word().values[16] == 1
+
+
+def test_p17_deep_fit_round_trip():
+    poly = monomial_poly(17, 1, (16,), k=1)
+    assert canonical_fit(poly.to_word(), 1) == poly
+
+
+@pytest.mark.parametrize("depth", [40, 61])
+def test_canonical_fit_deep_p2_word(tmp_path, capsys, depth):
+    path = tmp_path / "deep.word"
+    path.write_text(f"2 1 torus:{depth}\n0 1\n")
+    assert main(["canonical-fit", "--word", str(path), "--max-depth", str(depth)]) == 0
+    assert capsys.readouterr().out == f"p=2 n=1\nc=1 e=1 k={depth}\n"
+
+
+def test_canonical_fit_refuses_modulus_past_int64(tmp_path, capsys):
+    path = tmp_path / "deep.word"
+    path.write_text("2 1 torus:62\n0 1\n")
+    assert main(["canonical-fit", "--word", str(path), "--max-depth", "62"]) == 3
+    assert "infeasible" in capsys.readouterr().err
+
+
 class TestInterpolateClassical:
     def test_and_gate(self):
         word = Word.field_word(2, 2, [0, 0, 0, 1])
@@ -267,6 +330,14 @@ class TestTextFormat:
         for _ in range(25):
             poly = random_canonical_poly(rng.choice([2, 3]), 3, 2, rng)
             assert NonclassicalPoly.from_text(poly.to_text()) == poly
+
+    @pytest.mark.parametrize(
+        "text,missing",
+        [("p=2\nc=1 e=1 k=0\n", "n="), ("p=2 n=1\nc=1 k=0\n", "e="), ("p=2 n=1\nc=1 e=1\n", "k=")],
+    )
+    def test_missing_field_names_it(self, text, missing):
+        with pytest.raises(ValueError, match=missing):
+            NonclassicalPoly.from_text(text)
 
     def test_term_ordering(self):
         poly = NonclassicalPoly(

@@ -22,6 +22,7 @@ from rmlab import (
     tightness_family,
     tightness_family_size,
 )
+from rmlab.rmcode import codeword
 
 
 class TestDelta:
@@ -79,6 +80,19 @@ class TestEnumeration:
     def test_feasibility_gate(self):
         with pytest.raises(FeasibilityError):
             list(enumerate_code(CodeParams(2, 4, 3), FeasibilityLimits(exhaustive_cap=100)))
+
+    @pytest.mark.parametrize("p,n,d", [(2, 4, 2), (3, 2, 2)])
+    def test_codeword_by_index_matches_enumeration(self, p, n, d):
+        params = CodeParams(p, n, d)
+        for i, (_, word) in enumerate(enumerate_code(params)):
+            assert codeword(params, i) == word
+        for index in (-1, params.codeword_count):
+            with pytest.raises(ValueError, match=f"codeword index {index} out of range"):
+                codeword(params, index)
+
+    def test_codeword_by_index_checks_feasibility_first(self):
+        with pytest.raises(FeasibilityError):
+            codeword(CodeParams(2, 4, 3), -1, FeasibilityLimits(exhaustive_cap=100))
 
 
 class TestDistance:
