@@ -106,6 +106,8 @@ def cmd_list_size(args, limits) -> int:
     eta = parse_fraction(args.radius)
     centers: list[tuple[str, Word]] = []
     if args.center == "random":
+        if args.samples < 1:
+            raise ValueError("no centers requested")
         rng = random.Random(args.seed)
         for i in range(args.samples):
             centers.append(

@@ -38,7 +38,7 @@ from .torus import TorusValue, require_prime
 from .words import FIELD, TORUS, Word, monomial_table
 
 
-class NotAPolynomialError(Exception):
+class NotAPolynomialError(ValueError):
     """The table is not a zero-shift polynomial at the allowed depth."""
 
 

@@ -500,6 +500,8 @@ def rank_bruteforce(
     """
     if d < 1:
         raise ValueError("rank is defined for d >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     lim = resolve(limits)
     if d == 1:
         if f.is_constant():

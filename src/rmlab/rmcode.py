@@ -303,6 +303,8 @@ def sampled_max_list_size(
     optionally followed by every codeword's own table.  Deterministic given
     the seed; ties resolve to the earliest center.
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     eta = Fraction(eta)
     rng = random.Random(seed)
     centers: list[tuple[str, Word]] = []
@@ -325,18 +327,21 @@ def sampled_max_list_size(
     return MaxListResult(int(counts[best]), centers[best][1], centers[best][0])
 
 
-def _tightness_layout(p: int, e: int) -> tuple[int, int, int]:
-    """(a, b, lead position 0-based).  Over F_2 the dictator product
+def _tightness_layout(p: int, d: int, e: int) -> tuple[int, int, int]:
+    """(a, b, lead position 0-based) for 0 <= e < d; members are codewords
+    of RM(n, d) only then.  Over F_2 the dictator product
     prod_j (x_{a+1} - j) is empty for every e (b = 0 always), so the slot
     it would occupy is dropped and x_{a+1} leads; over larger fields the
     slot is kept even when this particular e has b = 0."""
+    if not 0 <= e < d:
+        raise ValueError("need 0 <= e < d")
     a, b = divmod(e, p - 1)
     lead = a if p == 2 else a + 1
     return a, b, lead
 
 
 def tightness_family_size(p: int, d: int, e: int, n: int) -> int:
-    _, _, lead = _tightness_layout(p, e)
+    _, _, lead = _tightness_layout(p, d, e)
     return p ** len(monomial_basis(p, n - lead - 1, d - e))
 
 
@@ -358,12 +363,11 @@ def tightness_family(
     is dropped) and a+2 otherwise.  Every member is nonzero with
     probability exactly delta(e)(1 - 1/p); one member is emitted per Q, in
     coefficient-lex order over Q's monomial basis.  Members have degree
-    e + max(1, d - e), i.e. they are codewords of RM(n, d) whenever d > e.
+    e + max(1, d - e), so e < d is required: only then are they codewords
+    of RM(n, d).
     """
     require_prime(p)
-    if not 0 <= e <= d:
-        raise ValueError("need 0 <= e <= d")
-    a, b, lead = _tightness_layout(p, e)
+    a, b, lead = _tightness_layout(p, d, e)
     if n < lead + 1:
         raise ValueError(f"need n >= {lead + 1} for e = {e} over F_{p}")
     lim = resolve(limits)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rmlab import Word, monomial_poly
 
 RMLAB = [sys.executable, "-m", "rmlab"]
@@ -201,6 +203,41 @@ def test_canonical_fit_roundtrip(tmp_path):
     word_path.write_text(poly.to_word().to_text())
     proc = run_cli("canonical-fit", "--word", str(word_path), "--max-depth", "2")
     assert proc.stdout == poly.to_text()
+
+
+@pytest.mark.parametrize("text, max_depth", [
+    ("2 1 torus:1\n1 1\n", "4"),  # the constant 1/4 needs a shift
+    ("2 1 torus:1\n0 3\n", "0"),  # depth 1 past --max-depth 0
+], ids=["shifted-constant", "past-max-depth"])
+def test_canonical_fit_not_a_polynomial_exit_2(tmp_path, text, max_depth):
+    word_path = tmp_path / "word.txt"
+    word_path.write_text(text)
+    proc = run_cli("canonical-fit", "--word", str(word_path), "--max-depth", max_depth)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("list-size", "--p", "2", "--n", "3", "--d", "1", "--radius", "1/4", "--samples", "-2"),
+     "no centers requested"),
+    (("list-size", "--p", "2", "--n", "3", "--d", "1", "--radius", "1/4", "--samples", "0"),
+     "no centers requested"),
+    (("max-list", "--p", "2", "--n", "3", "--d", "1", "--radius", "1/4", "--samples", "-2",
+      "--include-codeword-centers"), "samples must be >= 0"),
+    (("rank", "--word", "WORD", "--d", "2", "--budget", "-1"), "budget must be >= 0"),
+], ids=["list-size-negative", "list-size-zero", "max-list-negative", "rank-negative"])
+def test_negative_counts_exit_2(tmp_path, args, message):
+    word_path = tmp_path / "word.txt"
+    word_path.write_text(monomial_poly(2, 2, (1, 1)).to_word().to_text())
+    proc = run_cli(*(str(word_path) if a == "WORD" else a for a in args))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and message in proc.stderr
+
+
+def test_tightness_needs_e_below_d_exit_2():
+    proc = run_cli("tightness", "--p", "3", "--d", "2", "--e", "2", "--n", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "need 0 <= e < d" in proc.stderr
 
 
 def test_verify_all_subset_with_config(tmp_path):

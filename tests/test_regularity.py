@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from rmlab import (
     CodeParams,
     Factor,
@@ -286,6 +288,11 @@ class TestRank:
         w = monomial_poly(2, 2, (1, 1)).classical_field_word()
         res = rank_bruteforce(w, 2, 1)
         assert res.kind == "lower_bound" and res.value == 1
+
+    def test_negative_budget_rejected(self):
+        w = monomial_poly(2, 2, (1, 1)).classical_field_word()
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            rank_bruteforce(w, 2, -1)
 
 
 class TestFactorRank:

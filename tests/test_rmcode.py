@@ -195,6 +195,11 @@ class TestSampledMaxList:
         res = sampled_max_list_size(params, eta, 0, 0, include_codeword_centers=True)
         assert res.count == 1
 
+    def test_negative_samples_rejected(self):
+        params = CodeParams(2, 3, 1)
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            sampled_max_list_size(params, Fraction(1, 4), -2, 0, include_codeword_centers=True)
+
     def test_reproducible(self):
         params = CodeParams(2, 3, 1)
         a = sampled_max_list_size(params, Fraction(3, 8), 100, seed=7)
@@ -232,9 +237,13 @@ class TestTightnessFamily:
         for poly in members:
             assert distance(poly.classical_field_word(), zero) == target
 
-    def test_degree_zero_q_edge(self):
-        members = list(tightness_family(2, 1, 1, 3))
-        assert len(members) == 2  # Q ranges over constants
+    @pytest.mark.parametrize("d, e", [(1, 1), (2, 2), (1, 2)])
+    def test_e_not_below_d_rejected(self, d, e):
+        # with Q constant the members have degree e + 1 > d: not codewords
+        with pytest.raises(ValueError, match="need 0 <= e < d"):
+            list(tightness_family(2, d, e, 3))
+        with pytest.raises(ValueError, match="need 0 <= e < d"):
+            tightness_family_size(2, d, e, 3)
 
     def test_members_inside_ball_around_zero(self):
         # family members lie in the stated ball around the zero word

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rmlab import CodeParams, delta, sampled_max_list_size
+from rmlab import CodeParams, FeasibilityLimits, delta, sampled_max_list_size
 from rmlab.verify import (
     DEFAULT_RUNS,
     parse_run_config,
@@ -94,6 +94,17 @@ class TestScalarDegree:
             assert report.passed, report.counterexample
             assert report.details["exhaustive"] + report.details["sampled"] == 60
 
+    def test_chain_count_over_cap_is_infeasible(self):
+        # the exact walk refuses C(n+d+1, d+1) chains past the cap rather
+        # than passing on a sample
+        report = run_check(
+            "SCALAR_DEGREE",
+            {"p": 3, "nmax": 3, "depthmax": 2, "count": 60, "seed": 2, "trials": 2000},
+            FeasibilityLimits(exhaustive_cap=20),
+        )
+        assert report.status == "infeasible"
+        assert "basis derivative walk" in report.details["reason"]
+
 
 class TestDefaultDegreePlan:
     # mode labels and the lower-side gate follow the nominal tuple counts,
@@ -141,6 +152,14 @@ class TestDegCoef:
         assert report.passed, report.counterexample
         assert report.details["checked"] + report.details["skipped"] == 15
         assert report.details["checked"] > 0
+
+    def test_trials_do_not_change_the_certificate(self):
+        # the certificate ignores trials, so a small value cannot certify a
+        # table of degree > 4 and turn it into a false counterexample
+        params = dict(DEFAULT_RUNS[16][1], trials=10)
+        report = run_check("DEG_COEF", params)
+        assert report.passed, report.counterexample
+        assert report.details == {"checked": 27, "skipped": 23}
 
 
 class TestAPK:
