@@ -18,6 +18,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import verify as verify_mod
 from .limits import FeasibilityError, FeasibilityLimits, limits_from_env, parse_limits
 from .parallel import ordered_map
@@ -26,8 +28,8 @@ from .rmcode import (
     CodeParams,
     ball_count,
     codeword,
+    codeword_blocks,
     delta,
-    enumerate_code,
     johnson_radius,
     list_in_ball,
     min_distance_bruteforce,
@@ -114,6 +116,8 @@ def cmd_list_size(args, limits) -> int:
                 (f"sample:{i}", random_field_word(params.p, params.n, rng, limits))
             )
     else:
+        if args.samples < 0:
+            raise ValueError("samples must be >= 0")
         centers.append(_resolve_center(args.center, params, args.seed, limits))
     tasks = [(params, c.values, eta, limits) for _, c in centers]
     counts = ordered_map(_count_one, tasks, args.jobs)
@@ -203,14 +207,13 @@ def cmd_tightness(args, limits) -> int:
 def cmd_weak_reg(args, limits) -> int:
     params = CodeParams(args.p, args.n, args.d)
     eps = parse_fraction(args.eps)
-    family_words = [w for _, w in enumerate_code(params, limits)]
+    family = np.concatenate([tables for _, _, tables in codeword_blocks(params, limits)])
     if args.center == "random":
         rng = random.Random(args.seed)
         g = random_field_word(params.p, params.n, rng, limits)
     else:
         _, g = _resolve_center(args.center, params, args.seed, limits)
-    embed = SimplexFunction.from_field_word
-    result = weak_regularize(embed(g), [embed(w) for w in family_words], eps)
+    result = weak_regularize(SimplexFunction.from_field_word(g), family, eps)
     print(result.to_json())
     return EXIT_PASS
 

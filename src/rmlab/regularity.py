@@ -8,9 +8,16 @@ by the distinguishers chosen so far and adds the first family member (in
 the family's own order) that still tells the conditioned proxy apart from
 g by more than eps.  Each accepted step raises the proxy's mean squared
 norm by at least eps^2, which caps the number of steps at floor(1/eps^2).
-Everything is exact rational arithmetic; the eps contract is checked with
-exact comparisons, never floats.
 
+The loop runs on integer arrays: g as numerators over one denominator D,
+the family as numerators over one denominator E (a deterministic member is
+its one-hot case).  With c[A, y] the sum of g's numerators over atom A and
+L = lcm |A|, every eps comparison is an exact integer comparison after
+scaling by N L D E, and floats are never used.  Arrays hold Python integers
+only when a scaled value could leave int64.
+
+Atoms are fiber labels (entry x is the first point of x's atom); the same
+labels partition factors and certify measurability in the rank search.
 Rank searches are exact only at desk scale: beyond the supplied budget
 they return explicit lower bounds, never guesses.
 """
@@ -20,19 +27,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .limits import FeasibilityLimits, resolve
-from .polynomial import (
-    NonclassicalPoly,
-    canonical_fit,
-    canonical_monomials,
-    zero_poly,
-)
+from .polynomial import Monomial, NonclassicalPoly, canonical_fit, canonical_monomials, zero_poly
 from .torus import frac_str
-from .words import Word
+from .words import INT64_MAX, Word, index_digits, monomial_table, require_int64
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,8 @@ class SimplexFunction:
         for row in self.table:
             if len(row) != self.alphabet:
                 raise ValueError("simplex value has wrong alphabet size")
+            if not all(isinstance(w, numbers.Rational) for w in row):
+                raise ValueError("simplex weights must be exact rationals")
             if any(w < 0 for w in row):
                 raise ValueError("negative simplex weight")
             if sum(row) != 1:
@@ -61,54 +68,82 @@ class SimplexFunction:
         if word.kind != "field":
             raise ValueError("embedding expects a field word")
         p = word.prime
-        rows = []
-        for v in word.values:
-            row = [Fraction(0)] * p
-            row[v] = Fraction(1)
-            rows.append(tuple(row))
-        return cls(p, tuple(rows))
+        one_hot = [tuple(Fraction(int(y == v)) for y in range(p)) for v in range(p)]
+        return cls(p, tuple(one_hot[v] for v in word.values))
 
 
 def agreement_prob(f: SimplexFunction, g: SimplexFunction) -> Fraction:
     """Pr_x[f(x) = g(x)] = E_x <f(x), g(x)>, exact."""
     if f.alphabet != g.alphabet or f.domain_size != g.domain_size:
         raise ValueError("simplex function shape mismatch")
-    total = Fraction(0)
-    for fr, gr in zip(f.table, g.table):
-        total += sum(a * b for a, b in zip(fr, gr))
-    return total / f.domain_size
+    (a, b), den = _numerators([f.table, g.table])
+    return Fraction(_dot(a, b), den * den * f.domain_size)
 
 
 def energy(f: SimplexFunction) -> Fraction:
     """Mean squared 2-norm E_x ||f(x)||_2^2, exact."""
-    total = Fraction(0)
-    for row in f.table:
-        total += sum(w * w for w in row)
-    return total / f.domain_size
+    (a,), den = _numerators([f.table])
+    return Fraction(_dot(a, a), den * den * f.domain_size)
 
 
-def _average_rows(rows: Iterable[tuple[Fraction, ...]], alphabet: int) -> tuple[Fraction, ...]:
-    acc = [Fraction(0)] * alphabet
-    count = 0
-    for row in rows:
-        count += 1
-        for i, w in enumerate(row):
-            acc[i] += w
-    if count == 0:
-        raise ValueError("empty atom has no average")
-    return tuple(w / count for w in acc)
+# ---- integer kernels -------------------------------------------------------
 
 
-def _condition_on_keys(g: SimplexFunction, keys: Sequence) -> tuple[SimplexFunction, dict]:
-    atoms: dict = {}
-    for idx, key in enumerate(keys):
-        atoms.setdefault(key, []).append(idx)
-    gamma = {
-        key: _average_rows((g.table[i] for i in idxs), g.alphabet)
-        for key, idxs in atoms.items()
-    }
-    table = tuple(gamma[key] for key in keys)
-    return SimplexFunction(g.alphabet, table), gamma
+def _fibers(keys: np.ndarray) -> np.ndarray:
+    """Fiber labels of each row of ``keys`` (last axis = points): entry x is
+    the first position holding the value at x.  Two rows partition the
+    points alike exactly when their labels are equal."""
+    size = keys.shape[-1]
+    order = np.argsort(keys, axis=-1, kind="stable")
+    ranked = np.take_along_axis(keys, order, axis=-1)
+    run_start = np.ones(keys.shape, dtype=bool)
+    run_start[..., 1:] = ranked[..., 1:] != ranked[..., :-1]
+    pos = np.where(run_start, np.arange(size), 0)
+    np.maximum.accumulate(pos, axis=-1, out=pos)
+    labels = np.empty(keys.shape, dtype=np.int64)
+    np.put_along_axis(labels, order, np.take_along_axis(order, pos, axis=-1), axis=-1)
+    return labels
+
+
+def _refine(labels: np.ndarray, columns: Iterable[np.ndarray]) -> np.ndarray:
+    """Fiber labels of the common refinement of ``labels`` and the fibers of
+    each column (any integer values, Python integers included)."""
+    for col in columns:
+        labels = _fibers(labels * labels.shape[-1] + _fibers(col))
+    return labels
+
+
+def _atom_sums(num: np.ndarray, labels: np.ndarray):
+    """First point, size |A| and numerator sums c[A, y] of each atom (in
+    first-point order), and the atom index of each point."""
+    reps, atom = np.unique(labels, return_inverse=True)
+    sums = np.zeros((len(reps), num.shape[1]), dtype=num.dtype)
+    np.add.at(sums, atom, num)
+    return reps, atom, np.bincount(atom), sums
+
+
+def _averages(sums: np.ndarray, sizes: np.ndarray, den: int) -> list[tuple[Fraction, ...]]:
+    """The atom averages c[A, y] / (|A| D) as exact rows."""
+    return [tuple(Fraction(c, s * den) for c in row) for row, s in zip(sums.tolist(), sizes.tolist())]
+
+
+def _dtype(bound: int):
+    """int64 while every value stays within ``bound``, else Python integers."""
+    return object if bound > INT64_MAX else np.int64
+
+
+def _numerators(tables: Sequence[tuple[tuple[Fraction, ...], ...]]) -> tuple[np.ndarray, int]:
+    """Simplex tables as one (count, N, |Y|) array of numerators over their
+    least common denominator D; Python integers when N D leaves int64."""
+    den = math.lcm(*(w.denominator for t in tables for row in t for w in row))
+    size = len(tables[0])
+    rows = [[[w.numerator * (den // w.denominator) for w in row] for row in t] for t in tables]
+    return np.array(rows, dtype=_dtype(den * size)).reshape(len(tables), size, -1), den
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    """sum a * b in Python integers, whatever the arrays' bounds."""
+    return sum(x * y for x, y in zip(a.ravel().tolist(), b.ravel().tolist()))
 
 
 class Factor:
@@ -129,7 +164,7 @@ class Factor:
             raise ValueError("a factor needs a domain; use Factor.trivial")
         self.definers = definers
         self.polys = tuple(polys) if polys is not None else None
-        self._atoms: dict | None = None
+        self._labels: np.ndarray | None = None
 
     @classmethod
     def trivial(cls, p: int, n: int) -> "Factor":
@@ -139,7 +174,7 @@ class Factor:
         factor.domain_size = p**n
         factor.definers = ()
         factor.polys = ()
-        factor._atoms = None
+        factor._labels = None
         return factor
 
     @classmethod
@@ -164,13 +199,16 @@ class Factor:
     def atom_key(self, idx: int) -> tuple[int, ...]:
         return tuple(w.values[idx] for w in self.definers)
 
+    def fibers(self) -> np.ndarray:
+        """Atom label of every point: the first point with the same key."""
+        if self._labels is None:
+            columns = (np.array(w.values) for w in self.definers)
+            self._labels = _refine(np.zeros(self.domain_size, dtype=np.int64), columns)
+        return self._labels
+
     def atoms(self) -> dict[tuple[int, ...], list[int]]:
-        if self._atoms is None:
-            atoms: dict[tuple[int, ...], list[int]] = {}
-            for idx in range(self.domain_size):
-                atoms.setdefault(self.atom_key(idx), []).append(idx)
-            self._atoms = atoms
-        return self._atoms
+        labels = self.fibers()  # sorted labels are the atoms in first-point order
+        return {self.atom_key(r): np.flatnonzero(labels == r).tolist() for r in np.unique(labels)}
 
     def nominal_atoms(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(*(range(w.modulus) for w in self.definers))
@@ -192,13 +230,7 @@ class Factor:
 
     def refines(self, other: "Factor") -> bool:
         """Semantic refinement: equal keys here imply equal keys there."""
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for idx in range(self.domain_size):
-            key = self.atom_key(idx)
-            target = other.atom_key(idx)
-            if seen.setdefault(key, target) != target:
-                return False
-        return True
+        return np.array_equal(_refine(self.fibers(), [other.fibers()]), self.fibers())
 
     def to_json(self) -> str:
         """Definer words plus their depth annotations."""
@@ -217,9 +249,10 @@ def conditional_expectation(g: SimplexFunction, factor: Factor) -> SimplexFuncti
     """E[g | B]: constant on each atom, equal to the atom average."""
     if g.domain_size != factor.domain_size:
         raise ValueError("function and factor domains differ")
-    keys = [factor.atom_key(i) for i in range(factor.domain_size)]
-    conditioned, _ = _condition_on_keys(g, keys)
-    return conditioned
+    (num,), den = _numerators([g.table])
+    _, atom, sizes, sums = _atom_sums(num, factor.fibers())
+    rows = _averages(sums, sizes, den)
+    return SimplexFunction(g.alphabet, tuple(rows[a] for a in atom.tolist()))
 
 
 @dataclass(frozen=True)
@@ -253,13 +286,7 @@ class DecompositionResult:
         payload = {
             "eps": frac_str(self.eps),
             "chosen": list(self.chosen),
-            "trace": [
-                {
-                    "energy": frac_str(step.energy),
-                    "violator": step.violator,
-                }
-                for step in self.trace
-            ],
+            "trace": [{"energy": frac_str(s.energy), "violator": s.violator} for s in self.trace],
             "gamma": [
                 {"atom": atom_repr(key), "dist": [frac_str(w) for w in row]}
                 for key, row in sorted(self.gamma.items())
@@ -270,7 +297,7 @@ class DecompositionResult:
 
 def weak_regularize(
     g: SimplexFunction,
-    family: Sequence[SimplexFunction],
+    family: Sequence[SimplexFunction] | np.ndarray,
     eps: Fraction,
 ) -> DecompositionResult:
     """Frieze-Kannan style decomposition against a family of distinguishers.
@@ -281,73 +308,81 @@ def weak_regularize(
     deterministic: the family's own order is the scan order and the first
     violator wins.  Terminates within floor(1/eps^2) steps because every
     accepted step raises the proxy energy by at least eps^2.
+
+    ``family`` is a sequence of simplex functions, or an (F, N) integer
+    array of letters whose rows are deterministic members.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    for f in family:
-        if f.alphabet != g.alphabet or f.domain_size != g.domain_size:
+    p, size = g.alphabet, g.domain_size
+    if isinstance(family, np.ndarray):
+        if family.ndim != 2 or family.shape[1] != size or ((family < 0) | (family >= p)).any():
             raise ValueError("family member shape mismatch")
-
+        (num,), den = _numerators([g.table])
+        table, fam_den = np.eye(p, dtype=np.int64)[family], 1  # one-hot numerators
+    else:
+        if any(f.alphabet != p or f.domain_size != size for f in family):
+            raise ValueError("family member shape mismatch")
+        table, den = _numerators([g.table] + [f.table for f in family])
+        num, table, fam_den = table[0], table[1:], den
     max_steps = math.floor(1 / (eps * eps))
     chosen: list[int] = []
     trace: list[TraceStep] = []
-    target_agreements = [agreement_prob(g, f) for f in family]
-    last_violator: int | None = None
+    labels = np.zeros(size, dtype=np.int64)
 
     while True:
-        keys = [
-            tuple(family[i].table[x] for i in chosen)
-            for x in range(g.domain_size)
-        ]
-        proxy, gamma = _condition_on_keys(g, keys)
-        trace.append(TraceStep(energy(proxy), last_violator))
-        violator = None
-        for j, f in enumerate(family):
-            gap = agreement_prob(proxy, f) - target_agreements[j]
-            if gap > eps or -gap > eps:
-                violator = j
-                break
-        if violator is None:
+        reps, atom, sizes, sums = _atom_sums(num, labels)
+        lcm = math.lcm(*sizes.tolist())
+        # every scaled agreement is at most N L D E in absolute value
+        scale = size * lcm * den * fam_den
+        dtype = _dtype(max(eps.numerator, eps.denominator) * scale)
+        weights = sums.astype(dtype) * np.array([lcm // s for s in sizes.tolist()], dtype)[:, None]
+        energy_now = Fraction(_dot(sums, weights), lcm * size * den * den)
+        trace.append(TraceStep(energy_now, chosen[-1] if chosen else None))
+        # per member: sum_x <f(x), W[atom(x)] - L g(x)>, over N L D E
+        diff = (weights[atom] - num.astype(dtype) * lcm).ravel()
+        gaps = table.reshape(len(table), size * p).astype(dtype, copy=False) @ diff
+        over = np.flatnonzero(eps.denominator * np.abs(gaps) > eps.numerator * scale)
+        if not over.size:
             break
         if len(chosen) >= max_steps:
-            raise AssertionError(
-                "energy increment bound violated; this should be impossible"
-            )
-        chosen.append(violator)
-        last_violator = violator
+            raise AssertionError("energy increment bound violated; this should be impossible")
+        chosen.append(int(over[0]))
+        labels = _refine(labels, table[chosen[-1]].T)
 
+    rows = _averages(sums, sizes, den)
+    keys = table[chosen][:, reps].transpose(1, 0, 2)  # chosen members' rows at each atom
     return DecompositionResult(
         eps=eps,
         chosen=tuple(chosen),
-        gamma=gamma,
+        gamma={
+            tuple(tuple(Fraction(v, fam_den) for v in comp) for comp in key): row
+            for key, row in zip(keys.tolist(), rows)
+        },
         trace=tuple(trace),
-        proxy=proxy,
+        proxy=SimplexFunction(p, tuple(rows[a] for a in atom.tolist())),
     )
 
 
 @dataclass
 class OneSidedResult:
-    """Distinguishers plus one deterministic lookup table per family member."""
+    """Distinguishers plus one deterministic lookup table per family member:
+    ``plurality[f, A]`` is Gamma_f on atom A, ``keys[A]`` the chosen
+    members' values there, and ``atoms[x]`` the atom of point x."""
 
     eps: Fraction
     chosen: tuple[int, ...]
-    gamma_maps: tuple[dict, ...]
     prime: int
     nvars: int
-    _keys: tuple[tuple[int, ...], ...]
+    keys: tuple[tuple[int, ...], ...]
+    atoms: np.ndarray
+    plurality: np.ndarray
 
     def composed_word(self, f_index: int) -> Word:
-        """The deterministic proxy Gamma_f(h_1(x), ..., h_c(x)) as a word.
-        Keys never seen by the decomposition map to 0 by convention."""
-        table = self.gamma_maps[f_index]
-        return Word(
-            self.prime,
-            self.nvars,
-            "field",
-            0,
-            tuple(table.get(key, 0) for key in self._keys),
-        )
+        """The deterministic proxy Gamma_f(h_1(x), ..., h_c(x)) as a word."""
+        values = self.plurality[f_index][self.atoms].tolist()
+        return Word(self.prime, self.nvars, "field", 0, tuple(values))
 
 
 def one_sided_regularize(
@@ -364,36 +399,26 @@ def one_sided_regularize(
     """
     if g.kind != "field" or any(f.kind != "field" for f in family):
         raise ValueError("one-sided regularization expects field words")
-    embedded_g = SimplexFunction.from_field_word(g)
-    embedded_family = [SimplexFunction.from_field_word(f) for f in family]
-    result = weak_regularize(embedded_g, embedded_family, eps)
+    if any(f.prime != g.prime or f.nvars != g.nvars for f in family):
+        raise ValueError("family member shape mismatch")
+    p, size = g.prime, g.length
+    table = np.array([f.values for f in family], dtype=np.int64).reshape(len(family), size)
+    result = weak_regularize(SimplexFunction.from_field_word(g), table, eps)
 
-    keys = tuple(
-        tuple(family[i].values[x] for i in result.chosen)
-        for x in range(g.length)
-    )
-    atoms: dict[tuple[int, ...], list[int]] = {}
-    for idx, key in enumerate(keys):
-        atoms.setdefault(key, []).append(idx)
-
-    gamma_maps = []
-    for f in family:
-        table = {}
-        for key, idxs in atoms.items():
-            counts = [0] * g.prime
-            for i in idxs:
-                counts[f.values[i]] += 1
-            best = max(range(g.prime), key=lambda v: (counts[v], -v))
-            table[key] = best
-        gamma_maps.append(table)
-
+    chosen = list(result.chosen)
+    labels = _refine(np.zeros(size, dtype=np.int64), table[chosen])
+    reps, atom = np.unique(labels, return_inverse=True)
+    # hist[f, A, y] = #{x in A : f(x) = y}; argmax breaks ties to the smallest y
+    cells = (np.arange(len(family))[:, None] * len(reps) + atom) * p + table
+    hist = np.bincount(cells.ravel(), minlength=len(family) * len(reps) * p)
     return OneSidedResult(
         eps=Fraction(eps),
         chosen=result.chosen,
-        gamma_maps=tuple(gamma_maps),
-        prime=g.prime,
+        prime=p,
         nvars=g.nvars,
-        _keys=keys,
+        keys=tuple(map(tuple, table[chosen][:, reps].T.tolist())),
+        atoms=atom,
+        plurality=hist.reshape(len(family), len(reps), p).argmax(axis=2),
     )
 
 
@@ -404,17 +429,13 @@ def atom_uniformity(
     the first atom attaining it.  The operational regularity certificate."""
     lim = resolve(limits)
     lim.check_cases(factor.norm, "nominal atom scan")
-    counts = {key: len(idxs) for key, idxs in factor.atoms().items()}
-    nominal = Fraction(1, factor.norm)
-    total = factor.domain_size
-    worst_dev = Fraction(-1)
-    worst_atom: tuple[int, ...] = ()
-    for atom in factor.nominal_atoms():
-        dev = abs(Fraction(counts.get(atom, 0), total) - nominal)
-        if dev > worst_dev:
-            worst_dev = dev
-            worst_atom = atom
-    return worst_dev, worst_atom
+    total, norm = factor.domain_size, factor.norm
+    reps, sizes = np.unique(factor.fibers(), return_counts=True)
+    # |count * ||B|| - N| per occupied atom; every empty atom deviates by N
+    deviation = {factor.atom_key(x): abs(c * norm - total) for x, c in zip(reps, sizes.tolist())}
+    worst = max(deviation.values()) if len(deviation) == norm else max(*deviation.values(), total)
+    atom = next(b for b in factor.nominal_atoms() if deviation.get(b, total) == worst)
+    return Fraction(worst, total * norm), atom
 
 
 # ---- rank ------------------------------------------------------------------
@@ -423,6 +444,8 @@ EXACT = "exact"
 INFINITE = "infinite"
 LOWER_BOUND = "lower_bound"
 
+_BLOCK_ENTRIES = 1 << 16  # table entries per array operation of the rank search
+
 
 @dataclass(frozen=True)
 class RankResult:
@@ -430,58 +453,62 @@ class RankResult:
     value: int | None
     witness: tuple[NonclassicalPoly, ...] | None = None
 
-    def exceeds(self, r: int) -> bool:
-        if self.kind == EXACT:
-            return self.value > r
-        if self.kind == LOWER_BOUND:
-            return self.value >= r
-        return True
+    def order(self) -> tuple[int, int]:
+        """Sort key: exact ranks by value, then lower bounds, then infinite."""
+        kind = {EXACT: 0, LOWER_BOUND: 1, INFINITE: 2}[self.kind]
+        return kind, self.value if self.kind == EXACT else 0
 
 
-def _partition_signature(values: Sequence[int]) -> tuple[int, ...]:
-    labels: dict[int, int] = {}
-    sig = []
-    for v in values:
-        sig.append(labels.setdefault(v, len(labels)))
-    return tuple(sig)
+@dataclass(frozen=True)
+class Candidates:
+    """Row i of ``labels``: the i-th partition as fiber labels; row i of
+    ``coeffs``: its defining polynomial's coefficients over ``monomials``."""
+
+    prime: int
+    nvars: int
+    monomials: tuple[Monomial, ...]
+    coeffs: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def poly(self, i: int) -> NonclassicalPoly:
+        terms = {m: int(c) for m, c in zip(self.monomials, self.coeffs[i]) if c}
+        return NonclassicalPoly(self.prime, self.nvars, terms)
 
 
 def degree_candidates(
     p: int, n: int, dmax: int, limits: FeasibilityLimits | None = None
-) -> list[tuple[NonclassicalPoly, tuple[int, ...]]]:
+) -> Candidates:
     """All distinct partitions induced by nonconstant polynomials of degree
     <= dmax, each with one defining polynomial (first in coefficient-lex
     order).  Two polynomials with the same fibers refine identically, so
-    deduplicating partitions loses nothing for measurability searches."""
+    deduplicating partitions loses nothing for measurability searches.
+    Combinations are evaluated at the monomials' common depth K (a depth-k
+    term scaled by p^(K-k)), which leaves every polynomial's fibers as they are."""
     lim = resolve(limits)
-    monomials = [
+    lim.check_table(p**n, "polynomial evaluation table")
+    monomials = tuple(
         m for m in canonical_monomials(p, n, max(0, (dmax - 1) // (p - 1)))
         if m.degree(p) <= dmax
-    ]
+    )
     count = p ** len(monomials)
     lim.check_cases(count, "degree-candidate enumeration")
-    seen: dict[tuple[int, ...], NonclassicalPoly] = {}
-    out = []
-    for combo in itertools.product(range(p), repeat=len(monomials)):
-        terms = {m: c for m, c in zip(monomials, combo) if c}
-        poly = NonclassicalPoly(p, n, terms)
-        word = poly.to_word(lim)
-        sig = _partition_signature(word.values)
-        if len(set(sig)) <= 1:
-            continue  # constants never refine anything
-        if sig not in seen:
-            seen[sig] = poly
-            out.append((poly, sig))
-    return out
-
-
-def _measurable(f_values: Sequence[int], sigs: Sequence[tuple[int, ...]]) -> bool:
-    atom_value: dict[tuple[int, ...], int] = {}
-    for idx, v in enumerate(f_values):
-        key = tuple(s[idx] for s in sigs)
-        if atom_value.setdefault(key, v) != v:
-            return False
-    return True
+    depth = max(m.k for m in monomials)
+    mod = p ** (depth + 1)
+    require_int64(len(monomials) * (p - 1) * (mod - 1), mod)
+    basis = np.stack([monomial_table(p, n, m.exps, mod, p ** (depth - m.k)) for m in monomials])
+    seen: dict[bytes, int] = {}  # partition -> first combination, in index order
+    block = max(1, _BLOCK_ENTRIES // p**n)
+    for start in range(0, count, block):
+        coeffs = index_digits(p, len(monomials), np.arange(start, min(count, start + block))).T
+        labels = _fibers(coeffs @ basis % mod)
+        for i in np.flatnonzero(labels.any(axis=1)).tolist():  # constants never refine anything
+            seen.setdefault(labels[i].tobytes(), start + i)
+    coeffs = index_digits(p, len(monomials), np.array(list(seen.values()), dtype=np.int64)).T
+    labels = np.frombuffer(b"".join(seen), dtype=np.int64).reshape(len(seen), p**n)
+    return Candidates(p, n, monomials, coeffs, labels)
 
 
 def rank_bruteforce(
@@ -496,7 +523,9 @@ def rank_bruteforce(
     For d = 1 the rank is 0 for constants and infinite otherwise.  For
     d >= 2 the search tries r = 1, 2, ..., budget over distinct partitions
     of degree <= d-1 polynomials and returns an explicit lower bound when
-    the budget is exhausted.
+    the budget is exhausted.  f is measurable with respect to a tuple
+    exactly when it equals its own value at the first point of every atom
+    of the tuple's common refinement.
     """
     if d < 1:
         raise ValueError("rank is defined for d >= 1")
@@ -510,11 +539,16 @@ def rank_bruteforce(
     if f.is_constant():
         return RankResult(EXACT, 0, ())
     candidates = degree_candidates(f.prime, f.nvars, d - 1, lim)
+    values = np.array(f.values)
     for r in range(1, budget + 1):
         lim.check_cases(math.comb(len(candidates), r), "rank tuple search")
-        for combo in itertools.combinations(candidates, r):
-            if _measurable(f.values, [sig for _, sig in combo]):
-                return RankResult(EXACT, r, tuple(poly for poly, _ in combo))
+        tuples = itertools.combinations(range(len(candidates)), r)
+        while block := list(itertools.islice(tuples, max(1, _BLOCK_ENTRIES // (r * f.length)))):
+            picked = candidates.labels[np.array(block)]  # (B, r, N)
+            labels = _refine(picked[:, 0], (picked[:, j] for j in range(1, r)))
+            hits = np.flatnonzero((values[labels] == values).all(axis=1))
+            if hits.size:
+                return RankResult(EXACT, r, tuple(candidates.poly(i) for i in block[hits[0]]))
     return RankResult(LOWER_BOUND, budget)
 
 
@@ -565,23 +599,11 @@ def factor_rank_bruteforce(
     lim.check_cases(factor.norm - 1, "coefficient combinations")
 
     best: FactorRankResult | None = None
-
-    def better(a: RankResult, b: RankResult) -> bool:
-        order = {EXACT: 0, LOWER_BOUND: 1, INFINITE: 2}
-        ka, kb = order[a.kind], order[b.kind]
-        if ka != kb:
-            return ka < kb
-        if a.kind == EXACT:
-            return a.value < b.value
-        return False
-
     for combo in _combination_space(factor):
         poly, d_target = _combination_poly(polys, combo)
-        if d_target == 0:
-            result = RankResult(EXACT, 0, ())
-        else:
-            result = rank_bruteforce(poly.to_word(lim), d_target, budget, lim)
-        if best is None or better(result, best.rank):
+        # d_target = 0 only for a constant combination, whose rank is 0
+        result = rank_bruteforce(poly.to_word(lim), max(d_target, 1), budget, lim)
+        if best is None or result.order() < best.rank.order():
             best = FactorRankResult(result, combo, d_target)
             if result.kind == EXACT and result.value == 0:
                 break
@@ -624,48 +646,25 @@ def refine_to_uniform(
     for iteration in range(max_iter + 1):
         deviation, _ = atom_uniformity(current, lim)
         if deviation <= eps:
-            return current, RefineReport(
-                True, deviation, iteration, "deviation within eps"
-            )
+            return current, RefineReport(True, deviation, iteration, "deviation within eps")
         if iteration == max_iter:
-            break
+            return current, RefineReport(False, deviation, max_iter, "iteration budget exhausted")
         polys = current.ensure_polys(lim)
-        replaced = False
         for combo in _combination_space(current):
             combo_poly, d_target = _combination_poly(polys, combo)
-            unit_positions = [
-                i
-                for i, a in enumerate(combo)
-                if a % current.prime != 0
-            ]
+            unit_positions = [i for i, a in enumerate(combo) if a % current.prime != 0]
             if not unit_positions:
                 continue
-            if d_target == 0:
-                result = RankResult(EXACT, 0, ())
-            else:
-                result = rank_bruteforce(
-                    combo_poly.to_word(lim), d_target, rank_budget, lim
-                )
+            result = rank_bruteforce(combo_poly.to_word(lim), max(d_target, 1), rank_budget, lim)
             if result.kind == EXACT and result.value <= rank_budget:
-                drop = unit_positions[0]
-                new_polys = [
-                    poly for i, poly in enumerate(polys) if i != drop
-                ] + list(result.witness or ())
-                current = Factor.from_polys(new_polys, lim)
-                replaced = True
+                kept = [poly for i, poly in enumerate(polys) if i != unit_positions[0]]
+                current = Factor.from_polys(kept + list(result.witness), lim)
                 break
-        if not replaced:
-            deviation, _ = atom_uniformity(current, lim)
-            return current, RefineReport(
-                False,
-                deviation,
-                iteration,
-                "no low-rank combination with a unit coefficient",
-            )
-    deviation, _ = atom_uniformity(current, lim)
-    return current, RefineReport(
-        False, deviation, max_iter, "iteration budget exhausted"
-    )
+        else:
+            message = "no low-rank combination with a unit coefficient"
+            return current, RefineReport(False, deviation, iteration, message)
+    deviation, _ = atom_uniformity(current, lim)  # reached only when max_iter < 0
+    return current, RefineReport(False, deviation, max_iter, "iteration budget exhausted")
 
 
 def tensorize(polys: Sequence[NonclassicalPoly]) -> list[NonclassicalPoly]:

@@ -64,7 +64,8 @@ def digit_columns(p: int, n: int) -> np.ndarray:
     return cols
 
 
-def _require_int64(bound: int, mod: int) -> None:
+def require_int64(bound: int, mod: int) -> None:
+    """Refuse (FeasibilityError) arithmetic mod m whose intermediate bound leaves int64."""
     if bound > INT64_MAX:
         raise FeasibilityError(f"int64 arithmetic mod {mod}", bound, INT64_MAX)
 
@@ -73,7 +74,7 @@ def _require_int64(bound: int, mod: int) -> None:
 def _power_row(p: int, e: int, mod: int) -> np.ndarray:
     """x**e mod m for x in 0..p-1, one row of the p x p power table; read-only."""
     row = [pow(x, e, mod) for x in range(p)]
-    _require_int64((mod - 1) * max(row), mod)
+    require_int64((mod - 1) * max(row), mod)
     out = np.array(row, dtype=np.int64)
     out.flags.writeable = False
     return out
@@ -84,7 +85,7 @@ def monomial_table(p: int, n: int, exps: Sequence[int], mod: int, coeff: int = 1
     table in :func:`point_to_index` order with entries below m.  Refuses
     (FeasibilityError) a modulus where a residue times a power table entry,
     or the sum of two residues that callers accumulate, leaves int64."""
-    _require_int64(2 * (mod - 1), mod)
+    require_int64(2 * (mod - 1), mod)
     powers = [(col, _power_row(p, e, mod)) for col, e in zip(digit_columns(p, n), exps) if e]
     table = np.full(p**n, coeff % mod, dtype=np.int64)
     for col, row in powers:

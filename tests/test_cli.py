@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from rmlab import Word, monomial_poly
+from rmlab.cli import main
 
 RMLAB = [sys.executable, "-m", "rmlab"]
 
@@ -232,6 +233,15 @@ def test_negative_counts_exit_2(tmp_path, args, message):
     proc = run_cli(*(str(word_path) if a == "WORD" else a for a in args))
     assert proc.returncode == 2
     assert proc.stdout == "" and message in proc.stderr
+
+
+@pytest.mark.parametrize("center", ["zero", "codeword:0"])
+def test_list_size_negative_samples_exit_2_for_every_center(capsys, center):
+    argv = ["list-size", "--p", "2", "--n", "3", "--d", "1", "--radius", "1/4",
+            "--center", center, "--samples", "-5"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "samples must be >= 0" in out.err
 
 
 def test_tightness_needs_e_below_d_exit_2():

@@ -55,6 +55,10 @@ class TestAgreementEnergy:
         assert energy(embed(w)) == 1
         assert energy(uniform_function(2, 2)) == Fraction(1, 2)
 
+    def test_float_weights_rejected(self):
+        with pytest.raises(ValueError, match="exact rationals"):
+            SimplexFunction(2, ((0.5, 0.5),))
+
     def test_energy_of_global_average(self):
         g = embed(monomial_poly(2, 1, (1,)).classical_field_word())
         trivial = Factor.trivial(2, 1)
@@ -220,10 +224,10 @@ class TestOneSided:
         for i, f in enumerate(words):
             best = 1 - distance(res.composed_word(i), f)
             for _ in range(10):
-                alt = {key: rng.randrange(2) for key in res.gamma_maps[i]}
+                alt = [rng.randrange(2) for _ in res.keys]
                 alt_word = Word(
                     2, 2, "field", 0,
-                    tuple(alt[key] for key in res._keys),
+                    tuple(alt[a] for a in res.atoms.tolist()),
                 )
                 assert 1 - distance(alt_word, f) <= best
 
