@@ -39,7 +39,6 @@ from .rmcode import (
     johnson_radius,
     list_in_ball,
     min_distance_bruteforce,
-    min_distance_pairwise,
     monomial_basis,
     sampled_max_list_size,
     tightness_family,

@@ -13,6 +13,7 @@ Exit codes: 0 success/pass, 1 claim failure, 2 usage error, 3 infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -26,7 +27,6 @@ from .parallel import ordered_map
 from .polynomial import NonclassicalPoly, canonical_fit
 from .rmcode import (
     CodeParams,
-    ball_count,
     codeword,
     codeword_blocks,
     delta,
@@ -97,30 +97,22 @@ def cmd_min_distance(args, limits) -> int:
     return EXIT_PASS
 
 
-def _count_one(task) -> int:
-    params, center_values, eta, limits = task
-    word = Word(params.p, params.n, "field", 0, tuple(center_values))
-    return ball_count(params, word, eta, limits)
-
-
 def cmd_list_size(args, limits) -> int:
     params = CodeParams(args.p, args.n, args.d)
     eta = parse_fraction(args.radius)
-    centers: list[tuple[str, Word]] = []
     if args.center == "random":
         if args.samples < 1:
             raise ValueError("no centers requested")
         rng = random.Random(args.seed)
-        for i in range(args.samples):
-            centers.append(
-                (f"sample:{i}", random_field_word(params.p, params.n, rng, limits))
-            )
+        centers = [
+            (f"sample:{i}", random_field_word(params.p, params.n, rng, limits)) for i in range(args.samples)
+        ]
     else:
         if args.samples < 0:
             raise ValueError("samples must be >= 0")
-        centers.append(_resolve_center(args.center, params, args.seed, limits))
-    tasks = [(params, c.values, eta, limits) for _, c in centers]
-    counts = ordered_map(_count_one, tasks, args.jobs)
+        centers = [_resolve_center(args.center, params, args.seed, limits)]
+    search = functools.partial(list_in_ball, params, eta=eta, limits=limits)
+    results = ordered_map(search, [center for _, center in centers], args.jobs)
     rows = [
         {
             "p": params.p,
@@ -128,15 +120,14 @@ def cmd_list_size(args, limits) -> int:
             "d": params.d,
             "radius": frac_str(eta),
             "center_id": label,
-            "count": count,
+            "count": result.count,
         }
-        for (label, _), count in zip(centers, counts)
+        for (label, _), result in zip(centers, results)
     ]
     _emit_rows("list-size", ["p", "n", "d", "radius", "center_id", "count"], rows, args.format)
     if args.members_out:
         with open(args.members_out, "w", encoding="utf-8") as fh:
-            for label, center in centers:
-                result = list_in_ball(params, center, eta, limits)
+            for result in results:
                 fh.write(result.to_json() + "\n")
     return EXIT_PASS
 

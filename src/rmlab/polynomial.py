@@ -98,6 +98,9 @@ class NonclassicalPoly:
     def __setattr__(self, *args):
         raise AttributeError("NonclassicalPoly is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.prime, self.nvars, self.terms)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NonclassicalPoly)

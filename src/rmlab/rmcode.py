@@ -7,6 +7,10 @@ enumeration, exact-rational distance and ball searches, sampled maximum
 list sizes, and the explicit family witnessing list sizes exp(c n^{d-e})
 at radius delta(e)(1 - 1/p).
 
+Every ball search is one scan of the codeword blocks by ``_ball_hits``,
+which holds the only exact hit test and chunks centers under a fixed
+budget; ``list_in_ball`` keeps hit indices and builds members on read.
+
 All distances and radii are exact rationals with denominator p**n; a
 radius given as a decimal string is converted exactly, so boundary
 comparisons never depend on float rounding.  Floating point appears only
@@ -21,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -110,13 +114,12 @@ def _basis_matrix(params: CodeParams) -> np.ndarray:
     return np.stack([monomial_table(p, n, exps, p) for exps in params.basis])
 
 
-def _coeff_block(params: CodeParams, start: int, count: int) -> np.ndarray:
-    """Coefficient rows for codeword indices start..start+count-1.
+def _coeff_rows(params: CodeParams, idx: np.ndarray) -> np.ndarray:
+    """Coefficient rows for the int64 codeword indices ``idx``.
 
     Index c maps to the base-p digits of c with the first basis monomial
     as the most significant digit (coefficient vectors in lexicographic
     order over the monomial basis)."""
-    idx = np.arange(start, start + count, dtype=np.int64)
     return index_digits(params.p, params.num_monomials, idx).T
 
 
@@ -135,7 +138,7 @@ def codeword_blocks(
     total = params.codeword_count
     for start in range(0, total, block_size):
         count = min(block_size, total - start)
-        coeffs = _coeff_block(params, start, count)
+        coeffs = _coeff_rows(params, np.arange(start, start + count, dtype=np.int64))
         tables = coeffs @ basis % params.p
         yield start, coeffs, tables
 
@@ -147,7 +150,7 @@ def codeword(
     params.check_feasible(limits)
     if not 0 <= index < params.codeword_count:
         raise ValueError(f"codeword index {index} out of range")
-    table = _coeff_block(params, index, 1) @ _basis_matrix(params) % params.p
+    table = _coeff_rows(params, np.array([index], dtype=np.int64)) @ _basis_matrix(params) % params.p
     return Word(params.p, params.n, FIELD, 0, tuple(table[0].tolist()))
 
 
@@ -187,8 +190,7 @@ def min_distance_bruteforce(
 
     Uses linearity: the minimum distance equals the minimum normalized
     weight over nonzero codewords (the difference of two codewords is a
-    codeword).  ``min_distance_pairwise`` is the direct fallback used to
-    validate this optimization at tiny sizes.
+    codeword).
     """
     if params.codeword_count < 2:
         raise ValueError("code has fewer than two codewords")
@@ -202,33 +204,24 @@ def min_distance_bruteforce(
     return Fraction(best, params.block_length)
 
 
-def min_distance_pairwise(
-    params: CodeParams, limits: FeasibilityLimits | None = None
-) -> Fraction:
-    """All-pairs minimum distance; tiny sizes only (cross-check path)."""
-    words = [w.values for _, w in enumerate_code(params, limits)]
-    lim = resolve(limits)
-    lim.check_cases(len(words) * (len(words) - 1) // 2, "pairwise distances")
-    best = params.block_length
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            dist = sum(1 for a, b in zip(words[i], words[j]) if a != b)
-            best = min(best, dist)
-    return Fraction(best, params.block_length)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ListResult:
-    """Codewords within an exact radius of a received word."""
+    """Codewords within an exact radius of a received word, as increasing
+    int64 codeword indices; ``members`` builds the polynomials on first read."""
 
     params: CodeParams
     center: Word
     radius: Fraction
-    members: tuple[NonclassicalPoly, ...]
+    indices: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.indices)
+
+    @cached_property
+    def members(self) -> tuple[NonclassicalPoly, ...]:
+        rows = _coeff_rows(self.params, self.indices)
+        return tuple(poly_from_coeff_row(self.params, row) for row in rows)
 
     def to_json(self) -> str:
         payload = {
@@ -242,10 +235,33 @@ class ListResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def _hit_mask(tables: np.ndarray, center: np.ndarray, eta: Fraction, length: int) -> np.ndarray:
-    disagrees = (tables != center[None, :]).sum(axis=1)
-    # dist <= eta  <=>  disagrees * eta.den <= eta.num * p**n, exactly
-    return disagrees * eta.denominator <= eta.numerator * length
+_HIT_BUDGET = 1 << 24  # entries of one comparison array: centers x codewords x points
+
+
+def _ball_hits(
+    params: CodeParams, centers: Sequence[Word], eta: Fraction, limits=None, codeword_centers=False
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, lo, hits): hits[i, j] says whether codeword start + j is
+    within eta of center lo + i.  Centers are ``centers``, then with
+    ``codeword_centers`` every codeword in index order.  Blocks and center
+    chunks keep each comparison array within _HIT_BUDGET entries."""
+    if any(g.kind != FIELD or (g.prime, g.nvars) != (params.p, params.n) for g in centers):
+        raise ValueError("center must be a field word on the code's domain")
+    length = params.block_length
+    matrix = np.array([g.values for g in centers], dtype=np.int64).reshape(-1, length)
+    blocks = codeword_blocks(params, limits, max(1, min(4096, _HIT_BUDGET // length)))
+    if codeword_centers:
+        blocks = list(blocks)
+        matrix = np.concatenate([matrix] + [tables for _, _, tables in blocks])
+    eta = Fraction(eta)
+    # dist <= eta  <=>  disagrees * eta.den <= eta.num * p**n  <=>  disagrees <= bound,
+    # exactly; bound stays a Python int, so no eta overflows int64
+    bound = eta.numerator * length // eta.denominator
+    for start, _, tables in blocks:
+        step = max(1, _HIT_BUDGET // tables.size)
+        for lo in range(0, len(matrix), step):
+            disagrees = (tables[None, :, :] != matrix[lo : lo + step, None, :]).sum(axis=2)
+            yield start, lo, disagrees <= bound
 
 
 def list_in_ball(
@@ -255,15 +271,9 @@ def list_in_ball(
     limits: FeasibilityLimits | None = None,
 ) -> ListResult:
     """Exactly the codewords f with dist(f, g) <= eta."""
-    if g.kind != FIELD or g.prime != params.p or g.nvars != params.n:
-        raise ValueError("center must be a field word on the code's domain")
     eta = Fraction(eta)
-    center = np.array(g.values, dtype=np.int64)
-    members = []
-    for _, coeffs, tables in codeword_blocks(params, limits):
-        for row in coeffs[_hit_mask(tables, center, eta, params.block_length)]:
-            members.append(poly_from_coeff_row(params, row))
-    return ListResult(params, g, eta, tuple(members))
+    hits = _ball_hits(params, [g], eta, limits)
+    return ListResult(params, g, eta, np.concatenate([start + np.flatnonzero(h[0]) for start, _, h in hits]))
 
 
 def ball_count(
@@ -273,12 +283,15 @@ def ball_count(
     limits: FeasibilityLimits | None = None,
 ) -> int:
     """Count of codewords within eta of g (no member materialization)."""
-    eta = Fraction(eta)
-    center = np.array(g.values, dtype=np.int64)
-    total = 0
-    for _, _, tables in codeword_blocks(params, limits):
-        total += int(_hit_mask(tables, center, eta, params.block_length).sum())
-    return total
+    return int(_ball_counts(params, [g], eta, limits)[0])
+
+
+def _ball_counts(params, centers, eta, limits=None, codeword_centers=False) -> np.ndarray:
+    """Ball size around each center of :func:`_ball_hits`, in its order."""
+    counts = np.zeros(len(centers) + (params.codeword_count if codeword_centers else 0), dtype=np.int64)
+    for _, lo, hits in _ball_hits(params, centers, eta, limits, codeword_centers):
+        counts[lo : lo + len(hits)] += hits.sum(axis=1)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -305,26 +318,16 @@ def sampled_max_list_size(
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
-    eta = Fraction(eta)
-    rng = random.Random(seed)
-    centers: list[tuple[str, Word]] = []
-    for i in range(samples):
-        centers.append((f"sample:{i}", random_field_word(params.p, params.n, rng, limits)))
-    if include_codeword_centers:
-        for j, (_, word) in enumerate(enumerate_code(params, limits)):
-            centers.append((f"codeword:{j}", word))
-    if not centers:
+    if not samples and not include_codeword_centers:
         raise ValueError("no centers requested")
-
-    center_matrix = np.array([w.values for _, w in centers], dtype=np.int64)
-    counts = np.zeros(len(centers), dtype=np.int64)
-    for _, _, tables in codeword_blocks(params, limits):
-        disagrees = (tables[None, :, :] != center_matrix[:, None, :]).sum(axis=2)
-        counts += (
-            disagrees * eta.denominator <= eta.numerator * params.block_length
-        ).sum(axis=1)
+    rng = random.Random(seed)
+    words = [random_field_word(params.p, params.n, rng, limits) for _ in range(samples)]
+    counts = _ball_counts(params, words, eta, limits, include_codeword_centers)
     best = int(counts.argmax())
-    return MaxListResult(int(counts[best]), centers[best][1], centers[best][0])
+    if best < samples:
+        return MaxListResult(int(counts[best]), words[best], f"sample:{best}")
+    j = best - samples
+    return MaxListResult(int(counts[best]), codeword(params, j, limits), f"codeword:{j}")
 
 
 def _tightness_layout(p: int, d: int, e: int) -> tuple[int, int, int]:

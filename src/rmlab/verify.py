@@ -36,10 +36,9 @@ from .polynomial import (
 )
 from .rmcode import (
     CodeParams,
-    ball_count,
+    _ball_counts,
     codeword_blocks,
     delta,
-    enumerate_code,
     johnson_radius,
     poly_from_coeff_row,
     sampled_max_list_size,
@@ -544,13 +543,13 @@ def _check_thm1_desk(params: dict, limits: FeasibilityLimits):
         for n in ns:
             code = CodeParams(p, n, d)
             inner = half - Fraction(1, 2 * p**n)  # largest grid value < half
-            for idx, (_, word) in enumerate(enumerate_code(code, limits)):
-                cases += 1
-                if ball_count(code, word, inner, limits) != 1:
-                    unique_failures = {"n": n, "codeword_index": idx}
-                    break
-            if unique_failures:
+            counts = _ball_counts(code, [], inner, limits, codeword_centers=True)
+            bad = np.flatnonzero(counts != 1)
+            if bad.size:
+                cases += int(bad[0]) + 1
+                unique_failures = {"n": n, "codeword_index": int(bad[0])}
                 break
+            cases += len(counts)
     if unique_failures is not None:
         return FAIL, cases, {"unique_decoding": unique_failures}, details
 

@@ -3,17 +3,20 @@
 These are the Python Fraction and dict versions of agreement, energy, the
 weak regularity loop, the one-sided plurality tables and the rank search.  The library
 runs the same definitions on integer arrays; the tests require both to
-give equal results.
+give equal results.  The ball searches and the minimum distance are
+recounted here point by point over ``enumerate_code``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from rmlab import NonclassicalPoly, SimplexFunction, Word
+from rmlab import CodeParams, NonclassicalPoly, SimplexFunction, Word, enumerate_code, random_field_word
+from rmlab.limits import resolve
 from rmlab.polynomial import canonical_monomials
 from rmlab.regularity import (
     EXACT, INFINITE, LOWER_BOUND, DecompositionResult, RankResult, TraceStep,
@@ -202,3 +205,43 @@ def atom_uniformity(factor) -> tuple[Fraction, tuple[int, ...]]:
         if dev > worst_dev:
             worst_dev, worst_atom = dev, atom
     return worst_dev, worst_atom
+
+
+def min_distance_pairwise(params: CodeParams, limits=None) -> Fraction:
+    """All-pairs minimum distance; tiny sizes only (cross-check path)."""
+    words = [w.values for _, w in enumerate_code(params, limits)]
+    lim = resolve(limits)
+    lim.check_cases(len(words) * (len(words) - 1) // 2, "pairwise distances")
+    best = params.block_length
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            dist = sum(1 for a, b in zip(words[i], words[j]) if a != b)
+            best = min(best, dist)
+    return Fraction(best, params.block_length)
+
+
+def ball_members(params: CodeParams, g: Word, eta: Fraction) -> list[str]:
+    """Texts of the codewords within eta of g, in enumeration order, from
+    distances counted point by point."""
+    out = []
+    for poly, word in enumerate_code(params):
+        disagree = sum(1 for a, b in zip(word.values, g.values) if a != b)
+        if Fraction(disagree, params.block_length) <= eta:
+            out.append(poly.to_text())
+    return out
+
+
+def sampled_max_list_size(
+    params: CodeParams, eta: Fraction, samples: int, seed: int, include_codeword_centers: bool
+) -> tuple[int, str, Word]:
+    """(count, label, center) of the first center with the largest ball."""
+    rng = random.Random(seed)
+    centers = [(f"sample:{i}", random_field_word(params.p, params.n, rng)) for i in range(samples)]
+    if include_codeword_centers:
+        centers += [(f"codeword:{j}", w) for j, (_, w) in enumerate(enumerate_code(params))]
+    best = None
+    for label, g in centers:
+        count = len(ball_members(params, g, eta))
+        if best is None or count > best[0]:
+            best = (count, label, g)
+    return best

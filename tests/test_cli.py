@@ -274,3 +274,85 @@ def test_env_limits_respected():
     env["RMLAB_LIMITS"] = "table=10,exhaustive=10"
     proc = run_cli("min-distance", "--p", "2", "--n", "4", "--d", "2", env=env)
     assert proc.returncode == 3
+
+
+LIST_SIZE_T = ("list-size", "--p", "2", "--n", "3", "--d", "1", "--radius", "1/2")
+
+
+@pytest.mark.parametrize("word, members", [
+    (Word.torus_word(2, 3, 1, [0, 1, 1, 0, 1, 0, 0, 1]), False),
+    (Word.torus_word(2, 3, 1, [0, 1, 1, 0, 1, 0, 0, 1]), True),
+    (Word.field_word(3, 2, range(9)), False),
+], ids=["torus", "torus-members-out", "other-prime"])
+def test_list_size_center_not_on_the_code_exit_2(tmp_path, word, members):
+    center = tmp_path / "T.txt"
+    center.write_text(word.to_text())
+    out = tmp_path / "members.jsonl"
+    extra = ("--members-out", str(out)) if members else ()
+    proc = run_cli(*LIST_SIZE_T, "--center", f"file:{center}", *extra)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "center must be a field word on the code's domain" in proc.stderr
+    assert not out.exists()
+
+
+def test_list_size_tiny_decimal_radius():
+    # eta's denominator 10^23 leaves int64; the exact comparison must not
+    proc = run_cli(*LIST_SIZE_T[:-2], "--radius", "0.00000000000000000000001", "--center", "zero")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "2,3,1,1/100000000000000000000000,zero,1"
+
+
+MEMBERS_SHA256 = "ec3e630e2cbc8f0def142cd1ede7c488a9bacbbecd217b5e0f82f7b8b8d5d25b"
+
+
+def test_list_size_members_out_pinned_under_jobs(tmp_path):
+    import hashlib
+
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"members-{jobs}.jsonl"
+        proc = run_cli(
+            "--jobs", jobs, "list-size", "--p", "3", "--n", "2", "--d", "2", "--radius", "1/3",
+            "--samples", "6", "--seed", "3", "--members-out", str(out),
+        )
+        assert proc.returncode == 0
+        runs.append((proc.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert hashlib.sha256(runs[0][1]).hexdigest() == MEMBERS_SHA256
+
+
+def _count_block_passes(monkeypatch):
+    from rmlab import rmcode
+
+    passes = []
+    blocks = rmcode.codeword_blocks
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(rmcode, "codeword_blocks", counted)
+    return passes
+
+
+def test_list_size_members_out_scans_each_center_once(tmp_path, monkeypatch, capsys):
+    passes = _count_block_passes(monkeypatch)
+    argv = [*LIST_SIZE_T, "--samples", "5", "--members-out", str(tmp_path / "m.jsonl")]
+    assert main(argv) == 0
+    assert len(passes) == 5
+    rows = capsys.readouterr().out.splitlines()[2:]
+    lines = (tmp_path / "m.jsonl").read_text().splitlines()
+    assert [r.split(",")[-1] for r in rows] == [str(json.loads(l)["count"]) for l in lines]
+
+
+def test_thm1_unique_decoding_one_pass_per_n(monkeypatch):
+    from rmlab.verify import run_check
+
+    passes = _count_block_passes(monkeypatch)
+    params = {"p": 2, "d": 1, "eps": "1/16", "samples": 3, "seed": 0, "ns": [3, 4, 5]}
+    run_check("THM1_DESK", dict(params, check_unique_decoding=False))
+    sampled_only = len(passes)
+    report = run_check("THM1_DESK", params)
+    assert len(passes) - 2 * sampled_only == 3
+    assert report.cases_checked == 3 * 3 + 16 + 32 + 64

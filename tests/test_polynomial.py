@@ -358,3 +358,16 @@ class TestWordText:
         w = Word.torus_word(2, 2, 1, [0, 1, 2, 3])
         parsed = Word.from_text(w.to_text())
         assert parsed == w and parsed.depth == 1
+
+
+@pytest.mark.parametrize("poly", [
+    monomial_poly(2, 3, [1, 0, 1]),
+    NonclassicalPoly(3, 2, {Monomial((1, 0), 1): 2, Monomial((0, 2), 0): 1, Monomial((1, 1), 2): 1}),
+    zero_poly(5, 2),
+], ids=["classical", "depth-2", "zero"])
+def test_pickle_round_trip(poly):
+    import pickle
+
+    back = pickle.loads(pickle.dumps(poly))
+    assert back == poly and back.to_text() == poly.to_text()
+    assert back.to_word().values == poly.to_word().values

@@ -1,8 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from rmlab import rmcode
 from rmlab import (
     CodeParams,
     FeasibilityError,
@@ -15,9 +21,9 @@ from rmlab import (
     johnson_radius,
     list_in_ball,
     min_distance_bruteforce,
-    min_distance_pairwise,
     monomial_basis,
     monomial_poly,
+    random_field_word,
     sampled_max_list_size,
     tightness_family,
     tightness_family_size,
@@ -129,7 +135,7 @@ class TestMinDistance:
     @pytest.mark.parametrize("p,n,d", [(2, 2, 1), (3, 1, 1), (2, 3, 1)])
     def test_pairwise_fallback_agrees(self, p, n, d):
         params = CodeParams(p, n, d)
-        assert min_distance_pairwise(params) == min_distance_bruteforce(params)
+        assert oracles.min_distance_pairwise(params) == min_distance_bruteforce(params)
 
 
 class TestListInBall:
@@ -213,6 +219,98 @@ class TestSampledMaxList:
         )
         assert res.count == params.codeword_count
         assert res.label == "codeword:0"
+
+
+# Every RM_p(n, d) with p in {2, 3, 5}, p^n <= 81 and at most 729 codewords.
+SMALL_CODES = [
+    (p, n, d)
+    for p in (2, 3, 5)
+    for n in range(1, 7)
+    if p**n <= 81
+    for d in range(n * (p - 1) + 1)
+    if CodeParams(p, n, d).codeword_count <= 729
+]
+
+
+@st.composite
+def ball_queries(draw, max_codewords=729):
+    p, n, d = draw(st.sampled_from([c for c in SMALL_CODES if CodeParams(*c).codeword_count <= max_codewords]))
+    length = p**n
+    # a grid value k/p^n, or a value just below or above one
+    k = draw(st.integers(0, length))
+    nudge = draw(st.sampled_from([0, -1, 1]))
+    eta = Fraction(k, length) + Fraction(nudge, length * 10**20)
+    # comparison budgets: one chunk; one block in chunks of 3 centers;
+    # blocks of 4 codewords; one codeword per block and one center per chunk
+    params = CodeParams(p, n, d)
+    budget = draw(st.sampled_from([rmcode._HIT_BUDGET, 3 * params.codeword_count * length, 4 * length, 1]))
+    return params, eta, budget
+
+
+class TestBallKernel:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(query=ball_queries(), data=st.data())
+    def test_ball_searches_match_pointwise_recount(self, query, data):
+        params, eta, budget = query
+        g = Word.field_word(
+            params.p, params.n,
+            data.draw(st.lists(st.integers(0, params.p - 1), min_size=params.block_length,
+                               max_size=params.block_length)),
+        )
+        expect = oracles.ball_members(params, g, eta)
+        with mock.patch.object(rmcode, "_HIT_BUDGET", budget):
+            count = ball_count(params, g, eta)
+            res = list_in_ball(params, g, eta)
+        assert count == res.count == len(expect)
+        assert res.indices.dtype == np.int64
+        assert [poly.to_text() for poly in res.members] == expect
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        query=ball_queries(max_codewords=81),
+        samples=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+        codeword_centers=st.booleans(),
+    )
+    def test_sampled_max_matches_pointwise_recount(self, query, samples, seed, codeword_centers):
+        params, eta, budget = query
+        if not samples and not codeword_centers:
+            codeword_centers = True
+        count, label, center = oracles.sampled_max_list_size(params, eta, samples, seed, codeword_centers)
+        with mock.patch.object(rmcode, "_HIT_BUDGET", budget):
+            res = sampled_max_list_size(params, eta, samples, seed, include_codeword_centers=codeword_centers)
+        assert (res.count, res.label, res.center) == (count, label, center)
+
+    def test_centers_past_the_chunk_budget(self):
+        # 200 centers x 1024 codewords x 512 points: 2^26.6 comparisons, in chunks of 32 centers
+        params = CodeParams(2, 9, 1)
+        eta = Fraction(7, 16)
+        rng = random.Random(0)
+        words = [random_field_word(2, 9, rng) for _ in range(200)]
+        assert 200 * params.codeword_count * params.block_length > rmcode._HIT_BUDGET
+        each = [ball_count(params, g, eta) for g in words]
+        assert rmcode._ball_counts(params, words, eta).tolist() == each
+        res = sampled_max_list_size(params, eta, 200, seed=0)
+        best = each.index(max(each))
+        assert (res.count, res.label, res.center) == (max(each), f"sample:{best}", words[best])
+
+    @pytest.mark.parametrize("center", [
+        Word.torus_word(2, 3, 1, [0, 1, 1, 0, 1, 0, 0, 1]),
+        Word.field_word(3, 2, range(9)),
+        Word.field_word(2, 2, [0, 1, 1, 0]),
+    ], ids=["torus", "other-prime", "other-n"])
+    def test_center_must_be_field_word_on_the_domain(self, center):
+        params = CodeParams(2, 3, 1)
+        for search in (ball_count, list_in_ball):
+            with pytest.raises(ValueError, match="center must be a field word on the code's domain"):
+                search(params, center, Fraction(1, 2))
+
+    def test_members_built_only_when_read(self):
+        params = CodeParams(2, 3, 1)
+        res = list_in_ball(params, Word.zeros(2, 3), Fraction(1, 2))
+        assert "members" not in vars(res)
+        assert res.count == 15 and res.indices.tolist() == sorted(res.indices.tolist())
+        assert res.members is res.members
 
 
 class TestTightnessFamily:
