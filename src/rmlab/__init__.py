@@ -5,7 +5,7 @@ exhaustive list-size searches."""
 
 from .limits import FeasibilityError, FeasibilityLimits, DEFAULT_LIMITS
 from .torus import TorusValue, iota
-from .words import Word, derivative_table, iota_word, random_field_word
+from .words import Word, iota_word, random_field_word
 from .polynomial import (
     Monomial,
     NonclassicalPoly,
@@ -52,13 +52,9 @@ from .regularity import (
     SimplexFunction,
     agreement_prob,
     atom_uniformity,
-    conditional_expectation,
     energy,
-    factor_rank_bruteforce,
     one_sided_regularize,
     rank_bruteforce,
-    refine_to_uniform,
-    tensorize,
     weak_regularize,
 )
 

@@ -13,6 +13,7 @@ Exit codes: 0 success/pass, 1 claim failure, 2 usage error, 3 infeasible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -64,6 +65,12 @@ def _emit_rows(command: str, columns: list[str], rows: list[dict], fmt: str) -> 
         print(",".join(str(row[c]) for c in columns))
 
 
+def _open_out(path: str | None):
+    """The output file, opened for writing before anything reaches stdout so
+    that an unwritable path fails with empty stdout; a no-op when unset."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
 def _load_word(path: str) -> Word:
     with open(path, "r", encoding="utf-8") as fh:
         return Word.from_text(fh.read())
@@ -74,9 +81,7 @@ def _load_poly(path: str) -> NonclassicalPoly:
         return NonclassicalPoly.from_text(fh.read())
 
 
-def _resolve_center(
-    spec: str, params: CodeParams, seed: int, limits: FeasibilityLimits
-) -> tuple[str, Word]:
+def _resolve_center(spec: str, params: CodeParams, limits: FeasibilityLimits) -> tuple[str, Word]:
     if spec == "zero":
         return "zero", Word.zeros(params.p, params.n)
     if spec.startswith("codeword:"):
@@ -110,7 +115,7 @@ def cmd_list_size(args, limits) -> int:
     else:
         if args.samples < 0:
             raise ValueError("samples must be >= 0")
-        centers = [_resolve_center(args.center, params, args.seed, limits)]
+        centers = [_resolve_center(args.center, params, limits)]
     search = functools.partial(list_in_ball, params, eta=eta, limits=limits)
     results = ordered_map(search, [center for _, center in centers], args.jobs)
     rows = [
@@ -124,11 +129,10 @@ def cmd_list_size(args, limits) -> int:
         }
         for (label, _), result in zip(centers, results)
     ]
-    _emit_rows("list-size", ["p", "n", "d", "radius", "center_id", "count"], rows, args.format)
-    if args.members_out:
-        with open(args.members_out, "w", encoding="utf-8") as fh:
-            for result in results:
-                fh.write(result.to_json() + "\n")
+    with _open_out(args.members_out) as fh:
+        _emit_rows("list-size", ["p", "n", "d", "radius", "center_id", "count"], rows, args.format)
+        if fh:
+            fh.writelines(result.to_json() + "\n" for result in results)
     return EXIT_PASS
 
 
@@ -155,20 +159,19 @@ def cmd_max_list(args, limits) -> int:
             "argmax_center": result.label,
         }
     ]
-    _emit_rows(
-        "max-list",
-        ["p", "n", "d", "radius", "samples", "seed", "max_count", "argmax_center"],
-        rows,
-        args.format,
-    )
-    if args.argmax_out:
-        with open(args.argmax_out, "w", encoding="utf-8") as fh:
+    with _open_out(args.argmax_out) as fh:
+        _emit_rows(
+            "max-list",
+            ["p", "n", "d", "radius", "samples", "seed", "max_count", "argmax_center"],
+            rows,
+            args.format,
+        )
+        if fh:
             fh.write(result.center.to_text())
     return EXIT_PASS
 
 
 def cmd_tightness(args, limits) -> int:
-    zero = Word.zeros(args.p, args.n)
     rows = []
     members = []
     for i, poly in enumerate(tightness_family(args.p, args.d, args.e, args.n, limits)):
@@ -185,13 +188,12 @@ def cmd_tightness(args, limits) -> int:
             }
         )
         members.append(poly)
-    _emit_rows(
-        "tightness", ["p", "d", "e", "n", "member_id", "distance"], rows, args.format
-    )
-    if args.members_out:
-        with open(args.members_out, "w", encoding="utf-8") as fh:
-            for poly in members:
-                fh.write(poly.to_text() + "\n")
+    with _open_out(args.members_out) as fh:
+        _emit_rows(
+            "tightness", ["p", "d", "e", "n", "member_id", "distance"], rows, args.format
+        )
+        if fh:
+            fh.writelines(poly.to_text() + "\n" for poly in members)
     return EXIT_PASS
 
 
@@ -203,7 +205,7 @@ def cmd_weak_reg(args, limits) -> int:
         rng = random.Random(args.seed)
         g = random_field_word(params.p, params.n, rng, limits)
     else:
-        _, g = _resolve_center(args.center, params, args.seed, limits)
+        _, g = _resolve_center(args.center, params, limits)
     result = weak_regularize(SimplexFunction.from_field_word(g), family, eps)
     print(result.to_json())
     return EXIT_PASS
@@ -302,15 +304,15 @@ def cmd_verify_all(args, limits) -> int:
     reports = ordered_map(
         _run_entry, [(claim, params, limits) for claim, params in runs], args.jobs
     )
-    for report in reports:
-        print(report.to_json())
-        print(
-            f"{report.claim}: {report.status} ({report.cases_checked} cases, "
-            f"{report.elapsed_ms:.0f} ms)",
-            file=sys.stderr,
-        )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+    with _open_out(args.csv) as fh:
+        for report in reports:
+            print(report.to_json())
+            print(
+                f"{report.claim}: {report.status} ({report.cases_checked} cases, "
+                f"{report.elapsed_ms:.0f} ms)",
+                file=sys.stderr,
+            )
+        if fh:
             fh.write(f"# {CSV_VERSION} verify-all\n")
             fh.write(verify_mod.reports_to_csv(reports))
     return _report_exit(reports)

@@ -8,21 +8,21 @@ all vanish exactly when Delta^alpha f = 0 for every |alpha| = d+1.  The
 exact basis walk checks those chains depth first, pruning zero tables, so
 it builds at most C(n+d+1, d+1) tables where a tuple scan needs p^{n(d+1)}.
 
-Witnesses (directions and a point) re-verify independently through
-``words.derivative_table``.
+Witnesses (directions and a point) re-verify independently through the
+slow derivative tables in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .limits import FeasibilityLimits, resolve
 from .torus import TorusValue
-from .words import TORUS, Word, derivative_table, index_to_point
+from .words import TORUS, Word, index_to_point
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -49,14 +49,6 @@ class DegreeCheck:
     cases: int
     tables: int
     witness: DegreeWitness | None = None
-
-
-def apply_derivative_chain(word: Word, directions: Sequence[Sequence[int]]) -> Word:
-    """Iterated derivative, the slow reference path used for re-checks."""
-    out = word
-    for a in directions:
-        out = derivative_table(out, a)
-    return out
 
 
 def _witness(word: Word, directions: Iterable, table: np.ndarray) -> DegreeWitness:

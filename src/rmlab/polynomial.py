@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -239,16 +238,6 @@ class NonclassicalPoly:
     def neg(self) -> "NonclassicalPoly":
         return self.scalar_mul(self.prime ** (self.depth() + 1) - 1)
 
-    def embed(self, n_new: int, offset: int) -> "NonclassicalPoly":
-        """Rename variables x_i -> x_{offset+i} inside a larger variable set."""
-        if offset < 0 or offset + self.nvars > n_new:
-            raise ValueError("embedding does not fit")
-        terms = {}
-        for m, c in self.terms.items():
-            exps = (0,) * offset + m.exps + (0,) * (n_new - offset - self.nvars)
-            terms[Monomial(exps, m.k)] = c
-        return NonclassicalPoly(self.prime, n_new, terms)
-
     # ---- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
@@ -393,29 +382,10 @@ def interpolate_classical(
     return classical_from_coeffs(p, n, coeffs)
 
 
-def _as_torus_entries(p: int, values: Iterable) -> list[TorusValue]:
-    entries = []
-    for v in values:
-        if isinstance(v, TorusValue):
-            if v.prime != p:
-                raise ValueError("mixed primes in table")
-            entries.append(v)
-        else:
-            try:
-                entries.append(TorusValue.from_fraction(p, Fraction(v)))
-            except ValueError as exc:
-                raise NotAPolynomialError(str(exc)) from exc
-    return entries
-
-
 def canonical_fit(
-    table: Word | Sequence,
-    max_depth: int,
-    p: int | None = None,
-    n: int | None = None,
-    limits: FeasibilityLimits | None = None,
+    word: Word, max_depth: int, limits: FeasibilityLimits | None = None
 ) -> NonclassicalPoly:
-    """Recover the unique zero-shift polynomial representation of a table.
+    """Recover the unique zero-shift polynomial representation of a torus word.
 
     Works by triangular elimination over depth layers: the deepest layer is
     read off mod p by classical interpolation of the scaled numerators, the
@@ -426,17 +396,10 @@ def canonical_fit(
     raise :class:`NotAPolynomialError`.
     """
     lim = resolve(limits)
-    if isinstance(table, Word):
-        if table.kind != TORUS:
-            raise ValueError("canonical_fit needs a torus-valued table")
-        p, n = table.prime, table.nvars
-        entries = [table.torus_value(i) for i in range(table.length)]
-    else:
-        if p is None or n is None:
-            raise ValueError("raw tables need explicit p and n")
-        entries = _as_torus_entries(p, table)
-        if len(entries) != p**n:
-            raise ValueError(f"table length {len(entries)} != {p}^{n}")
+    if word.kind != TORUS:
+        raise ValueError("canonical_fit needs a torus-valued table")
+    p, n = word.prime, word.nvars
+    entries = [word.torus_value(i) for i in range(word.length)]
     lim.check_table(p**n, "canonical fit")
 
     depth = max((e.depth for e in entries), default=0)

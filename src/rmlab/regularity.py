@@ -1,5 +1,5 @@
-"""Weak regularity for simplex-valued functions, factors, and desk-scale
-rank machinery for polynomial factors.
+"""Weak regularity for simplex-valued functions, the atoms and atom
+uniformity of factors, and the desk-scale rank search for words.
 
 Randomized functions X -> Y are modeled as maps into the probability
 simplex P(Y); two functions agree with probability E_x <f(x), g(x)>.  The
@@ -18,8 +18,8 @@ only when a scaled value could leave int64.
 
 Atoms are fiber labels (entry x is the first point of x's atom); the same
 labels partition factors and certify measurability in the rank search.
-Rank searches are exact only at desk scale: beyond the supplied budget
-they return explicit lower bounds, never guesses.
+The rank search is exact only at desk scale: beyond the supplied budget it
+returns an explicit lower bound, never a guess.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .limits import FeasibilityLimits, resolve
-from .polynomial import Monomial, NonclassicalPoly, canonical_fit, canonical_monomials, zero_poly
+from .polynomial import Monomial, NonclassicalPoly, canonical_monomials
 from .torus import frac_str
 from .words import INT64_MAX, Word, index_digits, monomial_table, require_int64
 
@@ -150,7 +150,7 @@ class Factor:
     """Partition of F_p^n induced by the value tuple of an ordered list of
     defining words (for polynomial factors, torus alphabets U_{k_i+1})."""
 
-    def __init__(self, definers: Sequence[Word], polys: Sequence[NonclassicalPoly] | None = None):
+    def __init__(self, definers: Sequence[Word]):
         definers = tuple(definers)
         if definers:
             first = definers[0]
@@ -163,7 +163,6 @@ class Factor:
         else:
             raise ValueError("a factor needs a domain; use Factor.trivial")
         self.definers = definers
-        self.polys = tuple(polys) if polys is not None else None
         self._labels: np.ndarray | None = None
 
     @classmethod
@@ -173,7 +172,6 @@ class Factor:
         factor.nvars = n
         factor.domain_size = p**n
         factor.definers = ()
-        factor.polys = ()
         factor._labels = None
         return factor
 
@@ -181,7 +179,7 @@ class Factor:
     def from_polys(
         cls, polys: Sequence[NonclassicalPoly], limits: FeasibilityLimits | None = None
     ) -> "Factor":
-        return cls([poly.to_word(limits) for poly in polys], polys)
+        return cls([poly.to_word(limits) for poly in polys])
 
     @property
     def size(self) -> int:
@@ -213,21 +211,6 @@ class Factor:
     def nominal_atoms(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(*(range(w.modulus) for w in self.definers))
 
-    def ensure_polys(self, limits: FeasibilityLimits | None = None) -> tuple[NonclassicalPoly, ...]:
-        """Defining polynomials, fitting them from the tables if needed."""
-        if self.polys is not None:
-            return self.polys
-        fitted = []
-        for w in self.definers:
-            if w.kind == "field":
-                from .words import iota_word
-
-                w = iota_word(w)
-            max_depth = w.depth
-            fitted.append(canonical_fit(w, max_depth, limits=limits))
-        self.polys = tuple(fitted)
-        return self.polys
-
     def refines(self, other: "Factor") -> bool:
         """Semantic refinement: equal keys here imply equal keys there."""
         return np.array_equal(_refine(self.fibers(), [other.fibers()]), self.fibers())
@@ -243,16 +226,6 @@ class Factor:
             ],
         }
         return json.dumps(payload, sort_keys=True)
-
-
-def conditional_expectation(g: SimplexFunction, factor: Factor) -> SimplexFunction:
-    """E[g | B]: constant on each atom, equal to the atom average."""
-    if g.domain_size != factor.domain_size:
-        raise ValueError("function and factor domains differ")
-    (num,), den = _numerators([g.table])
-    _, atom, sizes, sums = _atom_sums(num, factor.fibers())
-    rows = _averages(sums, sizes, den)
-    return SimplexFunction(g.alphabet, tuple(rows[a] for a in atom.tolist()))
 
 
 @dataclass(frozen=True)
@@ -453,11 +426,6 @@ class RankResult:
     value: int | None
     witness: tuple[NonclassicalPoly, ...] | None = None
 
-    def order(self) -> tuple[int, int]:
-        """Sort key: exact ranks by value, then lower bounds, then infinite."""
-        kind = {EXACT: 0, LOWER_BOUND: 1, INFINITE: 2}[self.kind]
-        return kind, self.value if self.kind == EXACT else 0
-
 
 @dataclass(frozen=True)
 class Candidates:
@@ -550,136 +518,3 @@ def rank_bruteforce(
             if hits.size:
                 return RankResult(EXACT, r, tuple(candidates.poly(i) for i in block[hits[0]]))
     return RankResult(LOWER_BOUND, budget)
-
-
-@dataclass(frozen=True)
-class FactorRankResult:
-    rank: RankResult
-    combination: tuple[int, ...] | None
-    target_degree: int | None
-
-
-def _combination_space(factor: Factor) -> Iterable[tuple[int, ...]]:
-    ranges = [range(w.modulus) for w in factor.definers]
-    for combo in itertools.product(*ranges):
-        if any(combo):
-            yield combo
-
-
-def _combination_poly(
-    polys: Sequence[NonclassicalPoly], combo: Sequence[int]
-) -> tuple[NonclassicalPoly, int]:
-    p = polys[0].prime
-    n = polys[0].nvars
-    acc = zero_poly(p, n)
-    target_degree = 0
-    for a, poly in zip(combo, polys):
-        scaled = poly.scalar_mul(a)
-        target_degree = max(target_degree, scaled.degree())
-        acc = acc.add(scaled)
-    return acc, target_degree
-
-
-def factor_rank_bruteforce(
-    factor: Factor,
-    budget: int,
-    limits: FeasibilityLimits | None = None,
-) -> FactorRankResult:
-    """Least rank over nonzero coefficient combinations of the definers.
-
-    Each combination (a_1 mod p^{k_1+1}, ..., a_c mod p^{k_c+1}) != 0 is
-    scored by rank_{d}(sum a_i h_i) with d = max_i deg(a_i h_i); the factor
-    rank is the minimum.  Exact at desk scale, otherwise a lower bound.
-    An empty factor has infinite rank (no nonzero combination exists).
-    """
-    lim = resolve(limits)
-    if factor.size == 0:
-        return FactorRankResult(RankResult(INFINITE, None), None, None)
-    polys = factor.ensure_polys(lim)
-    lim.check_cases(factor.norm - 1, "coefficient combinations")
-
-    best: FactorRankResult | None = None
-    for combo in _combination_space(factor):
-        poly, d_target = _combination_poly(polys, combo)
-        # d_target = 0 only for a constant combination, whose rank is 0
-        result = rank_bruteforce(poly.to_word(lim), max(d_target, 1), budget, lim)
-        if best is None or result.order() < best.rank.order():
-            best = FactorRankResult(result, combo, d_target)
-            if result.kind == EXACT and result.value == 0:
-                break
-    return best
-
-
-@dataclass(frozen=True)
-class RefineReport:
-    achieved: bool
-    deviation: Fraction
-    iterations: int
-    message: str
-
-
-def refine_to_uniform(
-    factor: Factor,
-    eps: Fraction,
-    max_iter: int,
-    limits: FeasibilityLimits | None = None,
-    rank_budget: int = 1,
-) -> tuple[Factor, RefineReport]:
-    """Uniformity-driven refinement of a polynomial factor.
-
-    Repeatedly measures atom uniformity; while the deviation exceeds eps,
-    searches for a nonzero coefficient combination of the definers with
-    brute-force rank <= rank_budget whose coefficient at some definer is a
-    unit, and replaces that definer by the rank witnesses (lower-degree
-    polynomials).  Every replacement is a semantic refinement: the dropped
-    definer is recoverable from the remaining ones plus the witnesses.
-
-    This is an honest desk-scale substitute driven by the observable
-    consequence (atom-size uniformity); the report certifies only the
-    produced factor.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    lim = resolve(limits)
-    current = factor
-    for iteration in range(max_iter + 1):
-        deviation, _ = atom_uniformity(current, lim)
-        if deviation <= eps:
-            return current, RefineReport(True, deviation, iteration, "deviation within eps")
-        if iteration == max_iter:
-            return current, RefineReport(False, deviation, max_iter, "iteration budget exhausted")
-        polys = current.ensure_polys(lim)
-        for combo in _combination_space(current):
-            combo_poly, d_target = _combination_poly(polys, combo)
-            unit_positions = [i for i, a in enumerate(combo) if a % current.prime != 0]
-            if not unit_positions:
-                continue
-            result = rank_bruteforce(combo_poly.to_word(lim), max(d_target, 1), rank_budget, lim)
-            if result.kind == EXACT and result.value <= rank_budget:
-                kept = [poly for i, poly in enumerate(polys) if i != unit_positions[0]]
-                current = Factor.from_polys(kept + list(result.witness), lim)
-                break
-        else:
-            message = "no low-rank combination with a unit coefficient"
-            return current, RefineReport(False, deviation, iteration, message)
-    deviation, _ = atom_uniformity(current, lim)  # reached only when max_iter < 0
-    return current, RefineReport(False, deviation, max_iter, "iteration budget exhausted")
-
-
-def tensorize(polys: Sequence[NonclassicalPoly]) -> list[NonclassicalPoly]:
-    """Place each polynomial on its own fresh block of n variables.
-
-    The i-th output is the i-th input with variables renamed into block i
-    of an m*n-variable domain; degrees and depths are unchanged, and the
-    joint factor's atom distribution becomes the product of the marginals.
-    """
-    polys = list(polys)
-    if not polys:
-        return []
-    p, n = polys[0].prime, polys[0].nvars
-    for poly in polys:
-        if poly.prime != p or poly.nvars != n:
-            raise ValueError("tensorize needs a family with common (p, n)")
-    m = len(polys)
-    return [poly.embed(m * n, i * n) for i, poly in enumerate(polys)]

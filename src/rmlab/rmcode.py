@@ -288,6 +288,7 @@ def ball_count(
 
 def _ball_counts(params, centers, eta, limits=None, codeword_centers=False) -> np.ndarray:
     """Ball size around each center of :func:`_ball_hits`, in its order."""
+    params.check_feasible(limits)  # before sizing the counts by the code
     counts = np.zeros(len(centers) + (params.codeword_count if codeword_centers else 0), dtype=np.int64)
     for _, lo, hits in _ball_hits(params, centers, eta, limits, codeword_centers):
         counts[lo : lo + len(hits)] += hits.sum(axis=1)

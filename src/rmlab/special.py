@@ -30,11 +30,15 @@ from .torus import require_prime
 from .words import FIELD, Word, monomial_table
 
 
-def htilde_poly(r: int, A: int, k: int, p: int) -> NonclassicalPoly:
-    """h~ as a canonical polynomial: r block monomials at depth index k."""
+def _require_shape(r: int, A: int, k: int, p: int) -> None:
     require_prime(p)
     if r < 1 or A < 1 or k < 0:
         raise ValueError("need r >= 1, A >= 1, k >= 0")
+
+
+def htilde_poly(r: int, A: int, k: int, p: int) -> NonclassicalPoly:
+    """h~ as a canonical polynomial: r block monomials at depth index k."""
+    _require_shape(r, A, k, p)
     n = r * A
     terms = {}
     for i in range(r):
@@ -116,6 +120,7 @@ def htilde_value_distribution(r: int, A: int, k: int, p: int) -> list[int]:
     Computed without enumerating the domain: one block's product
     distribution, additively convolved r times.  Total mass is p^{rA}.
     """
+    _require_shape(r, A, k, p)
     mod = p ** (k + 1)
     block = block_product_distribution(A, k, p)
     dist = [0] * mod

@@ -50,7 +50,7 @@ from .special import (
     htilde_uniformity_deviation,
     lucas_digit_words,
 )
-from .torus import frac_str, is_prime, parse_fraction
+from .torus import frac_str, is_prime, parse_fraction, require_prime
 from .words import FIELD, Word, index_to_point, iota_word, point_to_index
 
 PASS = "pass"
@@ -98,6 +98,7 @@ def _check_delta_product(params: dict, limits: FeasibilityLimits):
     d = a(p-1)+b) are tallied.
     """
     p, dmax = params["p"], params["dmax"]
+    require_prime(p)
     cases = 0
     branches = {"c_le_b": 0, "c_gt_b": 0, "vacuous": 0}
     for d in range(1, dmax + 1):

@@ -195,42 +195,6 @@ def iota_word(word: Word) -> Word:
     return Word(word.prime, word.nvars, TORUS, 0, word.values)
 
 
-def shift_indices(p: int, n: int, a: Sequence[int]) -> list[int]:
-    """Index permutation sigma with sigma[i] = index of x+a for x = point(i)."""
-    if len(a) != n:
-        raise ValueError("direction has wrong dimension")
-    offsets = [0] * (p**n)
-    weight = 1
-    for pos in range(n - 1, -1, -1):
-        step = a[pos] % p
-        if step:
-            for idx in range(p**n):
-                digit = (idx // weight) % p
-                offsets[idx] += ((digit + step) % p - digit) * weight
-        weight *= p
-    return [idx + off for idx, off in enumerate(offsets)]
-
-
-def derivative_table(word: Word, a: Sequence[int]) -> Word:
-    """Additive derivative in direction a: (D_a f)(x) = f(x+a) - f(x)."""
-    if word.kind != TORUS:
-        raise ValueError("derivatives act on torus-valued words")
-    if len(a) != word.nvars:
-        raise ValueError(
-            f"direction has {len(a)} coordinates, word has {word.nvars}"
-        )
-    sigma = shift_indices(word.prime, word.nvars, a)
-    m = word.modulus
-    vals = word.values
-    return Word(
-        word.prime,
-        word.nvars,
-        TORUS,
-        word.depth,
-        tuple((vals[sigma[i]] - vals[i]) % m for i in range(len(vals))),
-    )
-
-
 def random_field_word(p: int, n: int, rng, limits: FeasibilityLimits | None = None) -> Word:
     """A uniformly random field word drawn from a seeded ``random.Random``.
 

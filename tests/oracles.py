@@ -1,10 +1,12 @@
 """Slow reference implementations for differential tests.
 
-These are the Python Fraction and dict versions of agreement, energy, the
-weak regularity loop, the one-sided plurality tables and the rank search.  The library
-runs the same definitions on integer arrays; the tests require both to
-give equal results.  The ball searches and the minimum distance are
-recounted here point by point over ``enumerate_code``.
+These are the Python Fraction and dict versions of agreement, energy,
+conditional expectation, the weak regularity loop, the one-sided plurality
+tables and the rank search.  The library runs the same definitions on
+integer arrays; the tests require both to give equal results.  The ball
+searches and the minimum distance are recounted here point by point over
+``enumerate_code``, and degree witnesses are re-verified through additive
+derivatives taken one index permutation at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +23,45 @@ from rmlab.polynomial import canonical_monomials
 from rmlab.regularity import (
     EXACT, INFINITE, LOWER_BOUND, DecompositionResult, RankResult, TraceStep,
 )
+from rmlab.words import TORUS
+
+
+def shift_indices(p: int, n: int, a: Sequence[int]) -> list[int]:
+    """Index permutation sigma with sigma[i] = index of x+a for x = point(i)."""
+    if len(a) != n:
+        raise ValueError("direction has wrong dimension")
+    offsets = [0] * (p**n)
+    weight = 1
+    for pos in range(n - 1, -1, -1):
+        step = a[pos] % p
+        if step:
+            for idx in range(p**n):
+                digit = (idx // weight) % p
+                offsets[idx] += ((digit + step) % p - digit) * weight
+        weight *= p
+    return [idx + off for idx, off in enumerate(offsets)]
+
+
+def derivative_table(word: Word, a: Sequence[int]) -> Word:
+    """Additive derivative in direction a: (D_a f)(x) = f(x+a) - f(x)."""
+    if word.kind != TORUS:
+        raise ValueError("derivatives act on torus-valued words")
+    if len(a) != word.nvars:
+        raise ValueError(f"direction has {len(a)} coordinates, word has {word.nvars}")
+    sigma = shift_indices(word.prime, word.nvars, a)
+    vals, m = word.values, word.modulus
+    return Word(
+        word.prime, word.nvars, TORUS, word.depth,
+        tuple((vals[sigma[i]] - vals[i]) % m for i in range(len(vals))),
+    )
+
+
+def apply_derivative_chain(word: Word, directions: Sequence[Sequence[int]]) -> Word:
+    """Iterated derivative, the slow reference path for degree witnesses."""
+    out = word
+    for a in directions:
+        out = derivative_table(out, a)
+    return out
 
 
 def agreement_prob(f: SimplexFunction, g: SimplexFunction) -> Fraction:

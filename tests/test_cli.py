@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rmlab import Word, monomial_poly
 from rmlab.cli import main
@@ -268,8 +271,6 @@ def test_verify_all_subset_with_config(tmp_path):
 
 
 def test_env_limits_respected():
-    import os
-
     env = dict(os.environ)
     env["RMLAB_LIMITS"] = "table=10,exhaustive=10"
     proc = run_cli("min-distance", "--p", "2", "--n", "4", "--d", "2", env=env)
@@ -356,3 +357,105 @@ def test_thm1_unique_decoding_one_pass_per_n(monkeypatch):
     report = run_check("THM1_DESK", params)
     assert len(passes) - 2 * sampled_only == 3
     assert report.cases_checked == 3 * 3 + 16 + 32 + 64
+
+
+@pytest.mark.parametrize("argv", [
+    [*LIST_SIZE_T, "--center", "zero", "--members-out", "OUT"],
+    ["max-list", "--p", "2", "--n", "3", "--d", "1", "--radius", "1/2", "--samples", "2",
+     "--argmax-out", "OUT"],
+    ["tightness", "--p", "3", "--d", "3", "--e", "2", "--n", "4", "--members-out", "OUT"],
+    ["verify-all", "--config", "CONFIG", "--csv", "OUT"],
+], ids=["list-size", "max-list", "tightness", "verify-all"])
+def test_unwritable_output_path_exit_2_with_empty_stdout(tmp_path, capsys, argv):
+    config = tmp_path / "runs.cfg"
+    config.write_text("claims=DELTA_PRODUCT\n")
+    paths = {"OUT": str(tmp_path / "missing" / "x"), "CONFIG": str(config)}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--claim", "DELTA_PRODUCT", "--p", "1"],
+    ["--claim", "DELTA_PRODUCT", "--p", "0"],
+    ["--claim", "DELTA_PRODUCT", "--p", "-3"],
+    ["--claim", "HTILDE_UNIFORM", "--A", "0"],
+    ["--claim", "HTILDE_UNIFORM", "--k", "-1"],
+    ["--claim", "HTILDE_UNIFORM", "--rs", "0,1"],
+], ids=["delta-p1", "delta-p0", "delta-p-3", "htilde-A0", "htilde-k-1", "htilde-r0"])
+def test_out_of_domain_claim_parameters_exit_2(capsys, argv):
+    assert main(["verify", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
+
+
+# --- argv fuzz: every subcommand but the claim runners exits 0, 2 or 3 ---
+
+
+def _pool(valid, invalid):
+    """Strings from both lists, each list drawn half of the time."""
+    return st.sampled_from(valid) | st.sampled_from(invalid)
+
+
+def _opt(flag, values):
+    # --flag=value, so that argparse reads a value such as -1/3 as a value
+    return values.map(f"--{flag}={{}}".format)
+
+
+def _argv(*parts):
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
+
+
+# primes and non-primes in -1..6, n in -1..3, d in -1..4; "@" is the fixture directory
+PRIMES = _pool(["2", "3", "5"], ["-1", "0", "1", "4", "6"])
+NS, DS = _pool(["1", "2", "3"], ["-1", "0"]), _pool(["0", "1", "2", "3", "4"], ["-1"])
+COUNTS = _pool(["1", "3"], ["-1", "0"])
+FRACTIONS = _pool(["1/2", "0.375", "0"], ["-1/3", "1/0", "abc", "inf", "1/2/3"])
+CENTERS = _pool(["zero", "random", "codeword:1", "file:@field.word"],
+                ["codeword:-1", "codeword:x", "file:@torus.word", "file:@missing.word"])
+WORDS = _pool(["@torus.word", "@field.word"], ["@missing.word"])
+POLYS = _pool(["@x.poly", "@deep.poly"], ["@missing.poly"])
+CODE = (_opt("p", PRIMES), _opt("n", NS), _opt("d", DS))
+FILES = {
+    "field.word": Word.field_word(2, 3, [0, 1, 1, 0, 1, 0, 0, 1]).to_text(),
+    "torus.word": Word.torus_word(2, 3, 1, [0, 1, 2, 3, 3, 2, 1, 0]).to_text(),
+    "x.poly": monomial_poly(2, 3, (1, 1, 0)).to_text(),
+    "deep.poly": monomial_poly(3, 2, (1, 0), k=1).to_text(),
+}
+COMMANDS = st.one_of(
+    _argv("min-distance", *CODE),
+    _argv("list-size", *CODE, _opt("radius", FRACTIONS), _opt("center", CENTERS), _opt("samples", COUNTS)),
+    _argv("max-list", *CODE, _opt("radius", FRACTIONS), _opt("samples", COUNTS),
+          st.sampled_from(["--seed=1", "--include-codeword-centers"])),
+    _argv("tightness", _opt("p", PRIMES), _opt("d", DS), _opt("e", DS), _opt("n", NS)),
+    _argv("weak-reg", *CODE, _opt("eps", FRACTIONS), _opt("center", CENTERS)),
+    _argv("rank", _opt("word", WORDS) | _opt("poly", POLYS), _opt("d", DS), _opt("budget", COUNTS)),
+    _argv("atoms", _opt("poly", POLYS)),
+    _argv("atoms", _opt("poly", POLYS), _opt("poly", POLYS)),
+    _argv("johnson", _opt("p", PRIMES), _opt("d", DS)),
+    _argv("canonical-fit", _opt("word", WORDS), _opt("max-depth", DS)),
+)
+OPTIONS = st.sampled_from([[], ["--format=json"]]) | _argv(_opt("limits", st.sampled_from(
+    ["table=abc", "bogus=1", "table", "exhaustive=-1", "table=4096,exhaustive=", ",,"])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(options=OPTIONS, command=COMMANDS)
+# 5^15 codeword centers: the cap must refuse them before any array is sized by them
+@example(options=[], command=["max-list", "--p=5", "--n=2", "--d=4", "--radius=1/2", "--include-codeword-centers"])
+def test_argv_fuzz_exits_0_2_or_3(fuzz_dir, options, command):
+    argv = [a.replace("@", f"{fuzz_dir}/") for a in options + command]
+    with mock.patch.dict(os.environ, {"RMLAB_LIMITS": "table=4096,exhaustive=100000"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3), argv

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,24 +150,20 @@ class TestAdd:
 
 class TestCanonicalFit:
     def test_deep_table(self):
-        poly = canonical_fit([Fraction(0), Fraction(1, 4)], 1, p=2, n=1)
+        poly = canonical_fit(Word.torus_word(2, 1, 1, [0, 1]), 1)  # [0, 1/4]
         assert poly == monomial_poly(2, 1, (1,), k=1)
 
     def test_classical_table(self):
         f = monomial_poly(2, 2, (1, 1))
         assert canonical_fit(f.to_word(), 0) == f
 
-    def test_non_p_power_value(self):
-        with pytest.raises(NotAPolynomialError):
-            canonical_fit([Fraction(0), Fraction(1, 3)], 3, p=2, n=1)
-
     def test_shifted_constant(self):
         with pytest.raises(NotAPolynomialError):
-            canonical_fit([Fraction(1, 4)] * 2, 3, p=2, n=1)
+            canonical_fit(Word.torus_word(2, 1, 1, [1, 1]), 3)  # the constant 1/4
 
     def test_depth_cap(self):
         with pytest.raises(NotAPolynomialError):
-            canonical_fit([Fraction(0), Fraction(1, 4)], 0, p=2, n=1)
+            canonical_fit(Word.torus_word(2, 1, 1, [0, 1]), 0)
 
     def test_round_trip_random(self, rng):
         for _ in range(120):

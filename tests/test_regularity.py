@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from rmlab import (
     CodeParams,
     Factor,
@@ -10,17 +11,13 @@ from rmlab import (
     Word,
     agreement_prob,
     atom_uniformity,
-    conditional_expectation,
     distance,
     energy,
     enumerate_code,
-    factor_rank_bruteforce,
     monomial_poly,
     one_sided_regularize,
     rank_bruteforce,
     random_field_word,
-    refine_to_uniform,
-    tensorize,
     weak_regularize,
 )
 
@@ -62,7 +59,7 @@ class TestAgreementEnergy:
     def test_energy_of_global_average(self):
         g = embed(monomial_poly(2, 1, (1,)).classical_field_word())
         trivial = Factor.trivial(2, 1)
-        assert energy(conditional_expectation(g, trivial)) == Fraction(1, 2)
+        assert energy(oracles.conditional_expectation(g, trivial)) == Fraction(1, 2)
 
 
 class TestConditionalExpectation:
@@ -70,18 +67,18 @@ class TestConditionalExpectation:
         x2 = monomial_poly(2, 2, (0, 1))
         factor = Factor.from_polys([x2])
         g = embed(x2.classical_field_word())
-        assert conditional_expectation(g, factor) == g
+        assert oracles.conditional_expectation(g, factor) == g
 
     def test_trivial_factor_average(self):
         g = embed(monomial_poly(2, 2, (1, 0)).classical_field_word())
-        avg = conditional_expectation(g, Factor.trivial(2, 2))
+        avg = oracles.conditional_expectation(g, Factor.trivial(2, 2))
         expected = (Fraction(1, 2), Fraction(1, 2))
         assert all(row == expected for row in avg.table)
 
     def test_average_over_other_variable(self):
         g = embed(monomial_poly(2, 2, (1, 0)).classical_field_word())
         factor = Factor.from_polys([monomial_poly(2, 2, (0, 1))])
-        out = conditional_expectation(g, factor)
+        out = oracles.conditional_expectation(g, factor)
         expected = (Fraction(1, 2), Fraction(1, 2))
         assert all(row == expected for row in out.table)
 
@@ -89,8 +86,8 @@ class TestConditionalExpectation:
         factor = Factor.from_polys([monomial_poly(2, 3, (1, 0, 0))])
         g = embed(random_field_word(2, 3, rng))
         h = embed(random_field_word(2, 3, rng))
-        once = conditional_expectation(g, factor)
-        assert conditional_expectation(once, factor) == once
+        once = oracles.conditional_expectation(g, factor)
+        assert oracles.conditional_expectation(once, factor) == once
         # linearity through a convex combination
         mix = SimplexFunction(
             2,
@@ -99,9 +96,9 @@ class TestConditionalExpectation:
                 for ra, rb in zip(g.table, h.table)
             ),
         )
-        mixed = conditional_expectation(mix, factor)
-        cg = conditional_expectation(g, factor)
-        ch = conditional_expectation(h, factor)
+        mixed = oracles.conditional_expectation(mix, factor)
+        cg = oracles.conditional_expectation(g, factor)
+        ch = oracles.conditional_expectation(h, factor)
         for row, ra, rb in zip(mixed.table, cg.table, ch.table):
             assert row == tuple((a + b) / 2 for a, b in zip(ra, rb))
 
@@ -113,13 +110,13 @@ class TestConditionalExpectation:
         assert finer.refines(base)
         for _ in range(10):
             g = embed(random_field_word(2, 3, rng))
-            assert energy(conditional_expectation(g, finer)) >= energy(
-                conditional_expectation(g, base)
+            assert energy(oracles.conditional_expectation(g, finer)) >= energy(
+                oracles.conditional_expectation(g, base)
             )
         # equality when g is measurable with respect to the coarse factor
         g = embed(monomial_poly(2, 3, (1, 0, 0)).classical_field_word())
-        assert energy(conditional_expectation(g, finer)) == energy(
-            conditional_expectation(g, base)
+        assert energy(oracles.conditional_expectation(g, finer)) == energy(
+            oracles.conditional_expectation(g, base)
         )
 
 
@@ -172,7 +169,7 @@ class TestWeakRegularize:
         factor = Factor(
             [family_words[i] for i in res.chosen]
         ) if res.chosen else Factor.trivial(2, 2)
-        cond = conditional_expectation(embed(g_word), factor)
+        cond = oracles.conditional_expectation(embed(g_word), factor)
         assert res.proxy == cond
 
     def test_json_round_trip_shape(self):
@@ -297,77 +294,3 @@ class TestRank:
         w = monomial_poly(2, 2, (1, 1)).classical_field_word()
         with pytest.raises(ValueError, match="budget must be >= 0"):
             rank_bruteforce(w, 2, -1)
-
-
-class TestFactorRank:
-    def test_single_linear_infinite(self):
-        factor = Factor.from_polys([monomial_poly(2, 1, (1,))])
-        assert factor_rank_bruteforce(factor, 2).rank.kind == "infinite"
-
-    def test_affine_pair_collapses(self):
-        x = monomial_poly(2, 1, (1,))
-        x_plus_1 = x.add(
-            monomial_poly(2, 1, (0,), k=0, c=1)
-        )
-        res = factor_rank_bruteforce(Factor.from_polys([x, x_plus_1]), 2)
-        assert res.rank.kind == "exact" and res.rank.value == 0
-        assert res.combination == (1, 1)
-
-    def test_empty_factor_infinite(self):
-        res = factor_rank_bruteforce(Factor.trivial(2, 2), 2)
-        assert res.rank.kind == "infinite"
-
-
-class TestRefine:
-    def test_already_uniform_unchanged(self):
-        factor = Factor.from_polys([monomial_poly(2, 2, (1, 0))])
-        refined, report = refine_to_uniform(factor, Fraction(1, 10), 5)
-        assert report.achieved and refined is factor
-
-    def test_duplicate_dropped(self):
-        x = monomial_poly(2, 1, (1,))
-        refined, report = refine_to_uniform(
-            Factor.from_polys([x, x]), Fraction(1, 100), 5
-        )
-        assert report.achieved
-        assert report.deviation == 0
-        assert refined.size == 1
-
-    def test_product_factor_within_loose_eps(self):
-        factor = Factor.from_polys([monomial_poly(2, 2, (1, 1))])
-        refined, report = refine_to_uniform(factor, Fraction(3, 10), 5)
-        assert report.achieved
-        assert report.deviation == Fraction(1, 4)
-        assert refined is factor
-
-    def test_refinement_is_semantic(self):
-        x = monomial_poly(2, 2, (1, 0))
-        dup = Factor.from_polys([x, x])
-        refined, _ = refine_to_uniform(dup, Fraction(1, 100), 5)
-        assert refined.refines(dup)
-
-
-class TestTensorize:
-    def test_identity_for_one(self):
-        x = monomial_poly(2, 2, (1, 0))
-        assert tensorize([x]) == [x]
-
-    def test_duplicates_become_independent(self):
-        x = monomial_poly(2, 1, (1,))
-        blocks = tensorize([x, x])
-        assert [q.nvars for q in blocks] == [2, 2]
-        before, _ = atom_uniformity(Factor.from_polys([x, x]))
-        after, _ = atom_uniformity(Factor.from_polys(blocks))
-        assert before == Fraction(1, 4) and after == 0
-
-    def test_degrees_and_depths_preserved(self):
-        polys = [monomial_poly(3, 2, (1, 1)), monomial_poly(3, 2, (1, 0), k=1)]
-        out = tensorize(polys)
-        assert [q.degree() for q in out] == [q.degree() for q in polys]
-        assert [q.depth() for q in out] == [q.depth() for q in polys]
-
-    def test_joint_distribution_is_product(self):
-        x = monomial_poly(2, 1, (1,))
-        joint = Factor.from_polys(tensorize([x, x]))
-        counts = {k: len(v) for k, v in joint.atoms().items()}
-        assert all(c == joint.domain_size // joint.norm for c in counts.values())

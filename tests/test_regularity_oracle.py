@@ -17,14 +17,11 @@ from rmlab import (
     Word,
     agreement_prob,
     atom_uniformity,
-    conditional_expectation,
     energy,
     enumerate_code,
-    factor_rank_bruteforce,
     one_sided_regularize,
     random_canonical_poly,
     rank_bruteforce,
-    refine_to_uniform,
     weak_regularize,
 )
 from rmlab import regularity
@@ -97,17 +94,6 @@ def test_weak_regularize_matches_fraction_oracle(inputs):
     if all(max(row) == 1 for f in family for row in f.table):  # the letter-table form
         letters = np.array([[row.index(1) for row in f.table] for f in family])
         assert_same_decomposition(weak_regularize(g, letters, eps), slow)
-
-
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(decomposition_inputs())
-def test_conditional_expectation_matches_oracle(inputs):
-    g, family, _ = inputs
-    p = g.alphabet
-    n = round(np.log(g.domain_size) / np.log(p))
-    # one definer per member: its heaviest letter at each point
-    factor = Factor([Word.field_word(p, n, [row.index(max(row)) for row in f.table]) for f in family])
-    assert conditional_expectation(g, factor) == oracles.conditional_expectation(g, factor)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -191,27 +177,6 @@ def test_rank_matches_oracle(d, budget):
     for word in _seeded_words():
         if d < 3 or word.length == 8:  # d = 3 on F_2^3 only: 2^10 combinations per search
             assert rank_bruteforce(word, d, budget) == oracles.rank_bruteforce(word, d, budget)
-
-
-def _seeded_factors():
-    rng = random.Random(5)
-    for p, count in [(2, 2), (3, 2), (2, 3)]:
-        polys = [random_canonical_poly(p, 2, rng.randint(0, 1), rng) for _ in range(count)]
-        yield Factor.from_polys(polys)
-    x = random_canonical_poly(2, 2, 0, rng)
-    yield Factor.from_polys([x, x])
-
-
-def test_factor_rank_and_refinement_match_oracle(monkeypatch):
-    fast = [factor_rank_bruteforce(f, 1) for f in _seeded_factors()]
-    refined = [refine_to_uniform(f, Fraction(1, 100), 3) for f in _seeded_factors()]
-    monkeypatch.setattr(regularity, "rank_bruteforce", oracles.rank_bruteforce)
-    assert fast == [factor_rank_bruteforce(f, 1) for f in _seeded_factors()]
-    for (factor, report), (slow_factor, slow_report) in zip(
-        refined, [refine_to_uniform(f, Fraction(1, 100), 3) for f in _seeded_factors()]
-    ):
-        assert report == slow_report
-        assert factor.definers == slow_factor.definers
 
 
 def test_factor_atoms_and_uniformity_match_oracle():
