@@ -36,6 +36,7 @@ from .rmcode import (
     min_distance_bruteforce,
     sampled_max_list_size,
     tightness_family,
+    tightness_weights,
 )
 from .regularity import (
     Factor,
@@ -172,27 +173,18 @@ def cmd_max_list(args, limits) -> int:
 
 
 def cmd_tightness(args, limits) -> int:
-    rows = []
-    members = []
-    for i, poly in enumerate(tightness_family(args.p, args.d, args.e, args.n, limits)):
-        word = poly.classical_field_word(limits)
-        nonzero = sum(1 for v in word.values if v)
-        rows.append(
-            {
-                "p": args.p,
-                "d": args.d,
-                "e": args.e,
-                "n": args.n,
-                "member_id": i,
-                "distance": frac_str(Fraction(nonzero, len(word.values))),
-            }
-        )
-        members.append(poly)
+    weights = tightness_weights(args.p, args.d, args.e, args.n, limits)
+    rows = [
+        {"p": args.p, "d": args.d, "e": args.e, "n": args.n, "member_id": i,
+         "distance": frac_str(Fraction(int(nonzero), args.p**args.n))}
+        for i, nonzero in enumerate(weights)
+    ]
     with _open_out(args.members_out) as fh:
         _emit_rows(
             "tightness", ["p", "d", "e", "n", "member_id", "distance"], rows, args.format
         )
         if fh:
+            members = tightness_family(args.p, args.d, args.e, args.n, limits)
             fh.writelines(poly.to_text() + "\n" for poly in members)
     return EXIT_PASS
 

@@ -44,10 +44,13 @@ def parse_fraction(x) -> Fraction:
         return Fraction(x)
     text = x.strip()
     if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
+        try:
+            num, den = (int(part) for part in text.split("/"))
+        except ValueError:
+            raise ValueError(f"bad fraction {text!r}") from None
+        if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
     return Fraction(text)
 
 

@@ -36,6 +36,7 @@ from .polynomial import (
 )
 from .rmcode import (
     CodeParams,
+    _HIT_BUDGET,
     _ball_counts,
     codeword_blocks,
     delta,
@@ -156,7 +157,7 @@ def _check_sz1(params: dict, limits: FeasibilityLimits):
                 limits.check_cases(
                     code.codeword_count * len(f2_rows), "SZ1 pair scan"
                 )
-                for _, coeffs, tables in codeword_blocks(code, limits):
+                for _, coeffs, tables in codeword_blocks(code, limits, max(1, _HIT_BUDGET // g_rows.size)):
                     agree = (tables[:, None, :] == g_rows[None, :, :]).sum(axis=2)
                     # agreement > 1 - delta(d), exactly:
                     above = agree * dlt.denominator > (

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -305,6 +306,24 @@ def test_list_size_tiny_decimal_radius():
 
 
 MEMBERS_SHA256 = "ec3e630e2cbc8f0def142cd1ede7c488a9bacbbecd217b5e0f82f7b8b8d5d25b"
+
+
+def test_codeword_center_scan_capped_by_pairs(capsys):
+    # 59,052 centers x 59,049 codewords: refused before any block is built
+    argv = ["max-list", "--p=3", "--n=3", "--d=2", "--radius=0", "--samples=3", "--include-codeword-centers"]
+    start = time.perf_counter()
+    with mock.patch.dict(os.environ, {"RMLAB_LIMITS": "table=4096,exhaustive=100000"}):
+        assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == "" and "codeword-center ball scan" in out.err
+
+
+@pytest.mark.parametrize("radius", ["1/2/3", "a/4", "1/"])
+def test_malformed_fraction_named_exit_2(capsys, radius):
+    assert main([*LIST_SIZE_T[:-2], f"--radius={radius}", "--center", "zero"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: bad fraction {radius!r}" in out.err
 
 
 def test_list_size_members_out_pinned_under_jobs(tmp_path):

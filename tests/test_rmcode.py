@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -358,3 +359,86 @@ class TestTightnessFamily:
 def test_monomial_basis_order():
     basis = monomial_basis(2, 2, 2)
     assert basis == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+# Codes over the primes the dense kernels are tested on, p^n within the
+# default table cap, small enough to list every codeword's table.
+STREAM_PRIMES = (2, 3, 5, 7, 17, 19)
+STREAM_CODES = {
+    p: [
+        (p, n, d)
+        for n in range(1, 7)
+        if p**n <= 10**6
+        for d in range(min(n * (p - 1), 6) + 1)
+        if CodeParams(p, n, d).codeword_count * p**n <= 1 << 18
+    ]
+    for p in STREAM_PRIMES
+}
+
+
+class TestCodewordStream:
+    @pytest.mark.parametrize("p", STREAM_PRIMES)
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_blocks_match_coefficient_rows_and_matmul(self, p, data):
+        params = CodeParams(*data.draw(st.sampled_from(STREAM_CODES[p])))
+        m, count, length = params.num_monomials, params.codeword_count, params.block_length
+        half = p ** (m // 2)
+        # (block_size, _HIT_BUDGET, blocks): p^L = 1; a middle split set by the
+        # block size and by the budget; the whole code in one block
+        block_size, budget, expect_blocks = data.draw(st.sampled_from([
+            (1, rmcode._HIT_BUDGET, count),
+            (4096, 1, count),
+            (half, rmcode._HIT_BUDGET, count // half),
+            (4096, half * length + length - 1, count // half),
+            (count, count * length, 1),
+        ]))
+        with mock.patch.object(rmcode, "_HIT_BUDGET", budget):
+            blocks = list(rmcode.codeword_blocks(params, block_size=block_size))
+        coeffs = rmcode._coeff_rows(params, np.arange(count, dtype=np.int64))
+        tables = coeffs @ rmcode._basis_matrix(params) % p
+        assert len(blocks) == expect_blocks
+        start = 0
+        for first, block_coeffs, block_tables in blocks:
+            assert first == start
+            stop = start + len(block_coeffs)
+            assert np.array_equal(block_coeffs, coeffs[start:stop])
+            assert np.array_equal(block_tables, tables[start:stop])
+            assert block_tables.dtype == np.min_scalar_type(2 * (p - 1))
+            start = stop
+        assert start == count
+
+    @pytest.mark.parametrize("p", STREAM_PRIMES)
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_member_json_matches_polynomial_text(self, p, data):
+        params = CodeParams(*data.draw(st.sampled_from(STREAM_CODES[p])))
+        last = params.codeword_count - 1
+        picked = data.draw(st.sets(st.integers(0, last), max_size=40)) | {0, last}
+        idx = np.array(sorted(picked), dtype=np.int64)
+        result = rmcode.ListResult(params, Word.zeros(p, params.n), Fraction(1), idx)
+        rows = rmcode._coeff_rows(params, idx)
+        expect = [rmcode.poly_from_coeff_row(params, row).to_text() for row in rows]
+        assert json.loads(result.to_json())["members"] == expect
+
+
+class TestTightnessWeights:
+    @pytest.mark.parametrize("case", [
+        (2, 3, 1, 6), (3, 3, 2, 4), (2, 2, 0, 5), (3, 2, 1, 3), (5, 2, 1, 2), (2, 3, 2, 4), (3, 4, 1, 3),
+    ])
+    def test_match_member_tables(self, case):
+        expect = [sum(1 for v in poly.classical_field_word().values if v) for poly in tightness_family(*case)]
+        for budget in (rmcode._HIT_BUDGET, 1):  # the Q code in one block, then one codeword per block
+            with mock.patch.object(rmcode, "_HIT_BUDGET", budget):
+                assert rmcode.tightness_weights(*case).tolist() == expect
+
+    @pytest.mark.parametrize("case, limits, error, match", [
+        ((2, 1, 1, 3), None, ValueError, "need 0 <= e < d"),
+        ((3, 3, 2, 2), None, ValueError, "need n >= 3"),
+        ((2, 3, 1, 6), FeasibilityLimits(exhaustive_cap=100), FeasibilityError, "tightness family"),
+    ])
+    def test_checks_as_the_family(self, case, limits, error, match):
+        with pytest.raises(error, match=match):
+            rmcode.tightness_weights(*case, limits)
+        with pytest.raises(error, match=match):
+            list(tightness_family(*case, limits))

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from unittest import mock
 
 from rmlab import CodeParams, FeasibilityLimits, delta, sampled_max_list_size
 from rmlab.verify import (
@@ -52,6 +53,32 @@ class TestSZ1:
             for f2 in itertools.product(range(2), repeat=2)
         )
         assert Fraction(best, 4) == 1 - delta(2, 1)
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_report_independent_of_the_comparison_budget(self, fail):
+        from rmlab import verify
+
+        params = {"p": 2, "dmax": 2, "n1max": 2, "n2max": 2}
+        lengths = []
+        blocks = verify.codeword_blocks
+
+        def recorded(*args):
+            for item in blocks(*args):
+                lengths.append(len(item[2]))
+                yield item
+
+        # with delta = 1 every agreement counts, so a dependent f1 fails the claim
+        threshold = (lambda p, d: Fraction(1)) if fail else delta
+        with mock.patch.object(verify, "delta", threshold), mock.patch.object(verify, "codeword_blocks", recorded):
+            report = run_check("SZ1", params)
+            default_blocks = len(lengths)
+            with mock.patch.object(verify, "_HIT_BUDGET", 256):
+                small = run_check("SZ1", params)
+        assert report.passed != fail
+        assert len(lengths) - default_blocks > default_blocks
+        assert small.status == report.status and small.counterexample == report.counterexample
+        if not fail:
+            assert small.to_json() == report.to_json()
 
     def test_p3_small(self):
         report = run_check("SZ1", {"p": 3, "dmax": 1, "n1max": 1, "n2max": 1})
