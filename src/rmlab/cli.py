@@ -326,6 +326,7 @@ def cmd_can_fit(args, limits) -> int:
 # ---- argument parsing -------------------------------------------------------
 
 
+@functools.cache  # one tree per process: parse_args writes only to its own namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmlab",

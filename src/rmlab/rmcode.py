@@ -7,10 +7,15 @@ enumeration, exact-rational distance and ball searches, sampled maximum
 list sizes, and the explicit family witnessing list sizes exp(c n^{d-e})
 at radius delta(e)(1 - 1/p).
 
-Every ball search is one scan of ``codeword_blocks`` (per block, a narrow-integer table
-of all combinations of the last basis rows plus one high row, mod p) by ``_ball_hits``,
-which holds the only exact hit test and chunks centers under a fixed budget; members are
-built from hit indices on read and written to JSON straight from coefficient rows.
+Every ball search is one exact integer transform, ``_ball_hits``: a codeword is an affine
+function b + a.x plus a coset representative Q of degree >= 2 (the low digits of its index),
+and one butterfly per coordinate over the one-hot table of g - Q gives g's agreement with
+every codeword of Q's coset, in index order.  Centers and cosets are batched on one axis
+and chunked under a fixed budget; members are built from hit indices on read and written to
+JSON straight from coefficient rows.  ``codeword_blocks`` streams the code itself (per block,
+a narrow-integer table of all combinations of the last basis rows plus one high row, mod p)
+for the scans that need every table: minimum distance, SZ1's pair scan, weak-regularity
+families and tightness weights.
 
 All distances and radii are exact rationals with denominator p**n; a
 radius given as a decimal string is converted exactly, so boundary
@@ -124,7 +129,7 @@ def _coeff_rows(params: CodeParams, idx: np.ndarray) -> np.ndarray:
     return index_digits(params.p, params.num_monomials, idx).T
 
 
-_HIT_BUDGET = 1 << 24  # entries of one comparison array: centers x codewords x points
+_HIT_BUDGET = 1 << 24  # entries of one working array: a codeword block, or ball-search counts
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -134,35 +139,44 @@ def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.minimum(total, total - total.dtype.type(p), out=total)
 
 
+def _combination_blocks(rows: np.ndarray, p: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, block): every combination sum_i c_i * rows[i] mod p, in the index order
+    of the digits c (rows[0] the most significant), in the narrowest dtype holding 2(p-1).
+    A block of p**L combinations, the most within ``size``, is ``lo`` (all combinations of the
+    last L rows) plus one high row, mod p.  The next high row adds the last t + 1 high rows,
+    where the next block ends in t zero digits: memory is O(p**L * row length) for any count."""
+    m, width = rows.shape
+    low = next(k for k in range(m, -1, -1) if p**k <= size)
+    dtype = np.min_scalar_type(2 * (p - 1))
+    lo = np.zeros((1, width), dtype)
+    for row in rows[m - low :]:  # each new row is the least significant digit so far
+        # v * row in int64 before the narrow cast: in uint8, 16 * 16 already wraps
+        multiples = (np.arange(p)[:, None] * row % p).astype(dtype)
+        lo = _add_mod(lo[:, None, :], multiples, p).reshape(-1, width)
+    carry = (np.cumsum(rows[: m - low][::-1], axis=0) % p).astype(dtype)
+    high = np.zeros(width, dtype)
+    for h in range(p ** (m - low)):
+        if h:
+            zeros = next(t for t in range(m) if h % p ** (t + 1))
+            high = _add_mod(high, carry[zeros], p)
+        yield h * p**low, _add_mod(lo, high, p)
+
+
 def codeword_blocks(
     params: CodeParams,
     limits: FeasibilityLimits | None = None,
     block_size: int = 4096,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start_index, coefficient rows, evaluation rows) lazily in index order, in the
-    narrowest dtype holding 2(p-1).  A block of p**L codewords, the most within ``block_size``
-    and _HIT_BUDGET // p**n, is ``lo`` (all combinations of the last L basis rows, digits beside
-    evaluations) plus one high row, mod p.  The next high row adds the last t + 1 high basis
-    rows, where the next block ends in t zero digits: memory is O(p**L * p**n) for any code."""
+    narrowest dtype holding 2(p-1), blocks of the most codewords within ``block_size`` and
+    _HIT_BUDGET // p**n that is a power of p: :func:`_combination_blocks` over the basis
+    rows, with each row's digits beside its evaluations."""
     params.check_feasible(limits)
-    p, m, length = params.p, params.num_monomials, params.block_length
-    size = max(1, min(block_size, _HIT_BUDGET // length))
-    low = next(k for k in range(m, -1, -1) if p**k <= size)
-    dtype = np.min_scalar_type(2 * (p - 1))
+    m = params.num_monomials
+    size = max(1, min(block_size, _HIT_BUDGET // params.block_length))
     rows = np.concatenate([np.eye(m, dtype=np.int64), _basis_matrix(params)], axis=1)
-    lo = np.zeros((1, m + length), dtype)
-    for row in rows[m - low :]:  # each new row is the least significant digit so far
-        # v * row in int64 before the narrow cast: in uint8, 16 * 16 already wraps
-        multiples = (np.arange(p)[:, None] * row % p).astype(dtype)
-        lo = _add_mod(lo[:, None, :], multiples, p).reshape(-1, m + length)
-    lo_coeffs, lo_tables = lo[:, :m], np.ascontiguousarray(lo[:, m:])
-    carry = (np.cumsum(rows[: m - low][::-1], axis=0) % p).astype(dtype)
-    high = np.zeros(m + length, dtype)
-    for h in range(p ** (m - low)):
-        if h:
-            zeros = next(t for t in range(m) if h % p ** (t + 1))
-            high = _add_mod(high, carry[zeros], p)
-        yield h * p**low, lo_coeffs + high[:m], _add_mod(lo_tables, high[m:], p)
+    for start, block in _combination_blocks(rows, params.p, size):
+        yield start, block[:, :m], block[:, m:]
 
 
 def codeword(
@@ -263,31 +277,63 @@ class ListResult:
         return json.dumps(payload, sort_keys=True)
 
 
+def _affine_agreements(h: np.ndarray, p: int, slopes: int, dtype) -> np.ndarray:
+    """(p, slopes**n, R) counts: out[b, a, r] = #{x : h[x, r] = b + a.x mod p} for a (p**n, R)
+    table of residues and every a with digits below ``slopes`` (p, or 1 for a = 0 alone),
+    indexed by its digits (a_n, ..., a_1), a_n most significant.  One integer butterfly per
+    coordinate x_k: the running count in[v, x_k, ...] of h - a.x = v over the coordinates
+    done so far becomes out[b, a_k, ...] = sum_x in[b + a_k x, x, ...].  The first step reads
+    the one-hot in[v, x_1] = [h(x_1, ...) = v] straight from h, so no array holds more than
+    slopes * p**n counts per row."""
+    length, rows = h.shape
+    b, a = np.arange(p)[:, None], np.arange(slopes)  # (b + a * x) % p: the (p, slopes) shifts
+    h = h.reshape(p, -1, rows)  # (x_1, later x, r)
+    out = np.zeros((p, slopes) + h.shape[1:], dtype)
+    for x in range(p):
+        out += h[x] == ((b + a * x) % p).astype(h.dtype)[:, :, None, None]
+    done, later = slopes, h.shape[1]
+    while later > 1:
+        later //= p
+        s = out.reshape(p, done, p, later, rows)  # (v, a digits done, x_k, later x, r)
+        out = np.repeat(s[:, None, :, 0], slopes, axis=1)  # x_k = 0 adds in[b] for every a_k
+        for x in range(1, p):
+            out += s[:, :, x][(b + a * x) % p]
+        done *= slopes
+    return out.reshape(p, done, rows)
+
+
 def _ball_hits(
-    params: CodeParams, centers: Sequence[Word], eta: Fraction, limits=None, codeword_centers=False
+    params: CodeParams, centers: Sequence[Word], eta: Fraction, limits=None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, lo, hits): hits[i, j] says whether codeword start + j is
-    within eta of center lo + i.  Centers are ``centers``, then with
-    ``codeword_centers`` every codeword in index order.  Blocks and center
-    chunks keep each comparison array within _HIT_BUDGET entries."""
+    """Yield (lo, q, hits) per chunk: hits[k, i, j] says whether codeword k * cosets + q + j
+    is within eta of center lo + i.  Every codeword is an affine function b + a.x plus a coset
+    representative Q, a combination of the basis monomials of degree >= 2 whose digits are
+    the low digits of its index (``cosets`` of them).  So for each row (center g, Q) the
+    agreements of g - Q with all p**(n+1) affine functions, k = (b, a_n, ..., a_1) in index
+    order, decide the ball over Q's coset; at d = 0 only a = 0 (k = b).  Rows are batched on
+    one axis, in chunks whose counts (p**(n+1) per row, p**n at d = 0; uint16 while
+    p**n < 2**16) stay within _HIT_BUDGET entries."""
     if any(g.kind != FIELD or (g.prime, g.nvars) != (params.p, params.n) for g in centers):
         raise ValueError("center must be a field word on the code's domain")
-    length = params.block_length
-    dtype = np.min_scalar_type(2 * (params.p - 1))  # the tables' dtype: compare bytes
-    matrix = np.array([g.values for g in centers], dtype=dtype).reshape(-1, length)
-    blocks = codeword_blocks(params, limits)
-    if codeword_centers:
-        blocks = list(blocks)
-        matrix = np.concatenate([matrix] + [tables for _, _, tables in blocks])
+    params.check_feasible(limits)
+    p, n, length = params.p, params.n, params.block_length
     eta = Fraction(eta)
-    # dist <= eta  <=>  disagrees * eta.den <= eta.num * p**n  <=>  disagrees <= bound,
-    # exactly; bound stays a Python int, so no eta overflows int64
-    bound = eta.numerator * length // eta.denominator
-    for start, _, tables in blocks:
-        step = max(1, _HIT_BUDGET // tables.size)
-        for lo in range(0, len(matrix), step):
-            disagrees = (tables[None, :, :] != matrix[lo : lo + step, None, :]).sum(axis=2)
-            yield start, lo, disagrees <= bound
+    # dist <= eta  <=>  disagrees * eta.den <= eta.num * p**n  <=>  agrees >= need, exactly;
+    # need stays a Python int, so no eta overflows the count dtype
+    need = length - eta.numerator * length // eta.denominator
+    dtype = np.uint16 if length < 1 << 16 else np.uint32
+    slopes = p if params.d else 1  # at d = 0 the slice a = 0 alone
+    rows = max(1, _HIT_BUDGET // (slopes * length))
+    words = np.array([g.values for g in centers], np.min_scalar_type(2 * (p - 1))).reshape(-1, length)
+    words = np.ascontiguousarray(words.T)  # (length, centers): points first, like h
+    # the blocks hold -Q mod p: combinations of the negated rows of degree >= 2
+    for q, negated in _combination_blocks(-_basis_matrix(params)[n + 1 :] % p, p, rows):
+        span, step = len(negated), rows // len(negated)  # step centers x span cosets per chunk
+        negated = np.ascontiguousarray(negated.T)
+        for lo in range(0, words.shape[1], step):
+            h = _add_mod(words[:, lo : lo + step, None], negated[:, None, :], p)
+            agree = _affine_agreements(h.reshape(length, -1), p, slopes, dtype)
+            yield lo, q, (agree >= need).reshape(-1, *h.shape[1:])
 
 
 def list_in_ball(
@@ -298,8 +344,9 @@ def list_in_ball(
 ) -> ListResult:
     """Exactly the codewords f with dist(f, g) <= eta."""
     eta = Fraction(eta)
-    hits = _ball_hits(params, [g], eta, limits)
-    return ListResult(params, g, eta, np.concatenate([start + np.flatnonzero(h[0]) for start, _, h in hits]))
+    # one center: the chunks come in coset order, and rows (k, Q) are index order
+    hits = np.concatenate([h[:, 0] for _, _, h in _ball_hits(params, [g], eta, limits)], axis=1)
+    return ListResult(params, g, eta, np.flatnonzero(hits))
 
 
 def ball_count(
@@ -313,14 +360,19 @@ def ball_count(
 
 
 def _ball_counts(params, centers, eta, limits=None, codeword_centers=False) -> np.ndarray:
-    """Ball size around each center of :func:`_ball_hits`, in its order."""
+    """Ball size around each of ``centers``, then with ``codeword_centers`` around every
+    codeword in index order: each is the zero word's, since c + f is within eta of c
+    exactly when f is within eta of 0."""
     params.check_feasible(limits)  # before sizing the counts by the code
     if codeword_centers:
         pairs = (len(centers) + params.codeword_count) * params.codeword_count
         resolve(limits).check_cases(pairs, "codeword-center ball scan")
-    counts = np.zeros(len(centers) + (params.codeword_count if codeword_centers else 0), dtype=np.int64)
-    for _, lo, hits in _ball_hits(params, centers, eta, limits, codeword_centers):
-        counts[lo : lo + len(hits)] += hits.sum(axis=1)
+        centers = [*centers, Word.zeros(params.p, params.n)]
+    counts = np.zeros(len(centers), dtype=np.int64)
+    for lo, _, hits in _ball_hits(params, centers, eta, limits):
+        counts[lo : lo + hits.shape[1]] += np.count_nonzero(hits, axis=(0, 2))
+    if codeword_centers:
+        counts = np.concatenate([counts[:-1], np.full(params.codeword_count, counts[-1])])
     return counts
 
 

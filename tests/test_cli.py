@@ -326,6 +326,26 @@ def test_malformed_fraction_named_exit_2(capsys, radius):
     assert out.out == "" and f"error: bad fraction {radius!r}" in out.err
 
 
+def test_parser_built_once_without_carrying_values_over(tmp_path, capsys):
+    from rmlab import cli
+
+    polys = [tmp_path / "a.poly", tmp_path / "b.poly"]
+    polys[0].write_text(monomial_poly(2, 2, (1, 1)).to_text())
+    polys[1].write_text(monomial_poly(2, 2, (1, 0)).to_text())
+    assert main(["atoms", "--poly", str(polys[0]), "--poly", str(polys[1])]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "2,4,1/4,0|0"
+    assert main(["atoms", "--poly", str(polys[0])]) == 0  # a fresh --poly list, not a third entry
+    assert capsys.readouterr().out.splitlines()[2] == "1,2,1/4,0"
+    members = tmp_path / "m.jsonl"
+    assert main(["--format", "json", *LIST_SIZE_T, "--center", "zero", "--members-out", str(members)]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["count"] == 15
+    members.unlink()
+    assert main([*LIST_SIZE_T, "--center", "zero"]) == 0  # csv again, and no members file
+    assert capsys.readouterr().out.splitlines()[2] == "2,3,1,1/2,zero,15"
+    assert not members.exists()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_list_size_members_out_pinned_under_jobs(tmp_path):
     import hashlib
 
@@ -342,25 +362,25 @@ def test_list_size_members_out_pinned_under_jobs(tmp_path):
     assert hashlib.sha256(runs[0][1]).hexdigest() == MEMBERS_SHA256
 
 
-def _count_block_passes(monkeypatch):
+def _count_ball_searches(monkeypatch):
     from rmlab import rmcode
 
-    passes = []
-    blocks = rmcode.codeword_blocks
+    searches = []
+    kernel = rmcode._ball_hits
 
     def counted(*args, **kwargs):
-        passes.append(1)
-        return blocks(*args, **kwargs)
+        searches.append(1)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(rmcode, "codeword_blocks", counted)
-    return passes
+    monkeypatch.setattr(rmcode, "_ball_hits", counted)
+    return searches
 
 
 def test_list_size_members_out_scans_each_center_once(tmp_path, monkeypatch, capsys):
-    passes = _count_block_passes(monkeypatch)
+    searches = _count_ball_searches(monkeypatch)
     argv = [*LIST_SIZE_T, "--samples", "5", "--members-out", str(tmp_path / "m.jsonl")]
     assert main(argv) == 0
-    assert len(passes) == 5
+    assert len(searches) == 5
     rows = capsys.readouterr().out.splitlines()[2:]
     lines = (tmp_path / "m.jsonl").read_text().splitlines()
     assert [r.split(",")[-1] for r in rows] == [str(json.loads(l)["count"]) for l in lines]
@@ -369,12 +389,12 @@ def test_list_size_members_out_scans_each_center_once(tmp_path, monkeypatch, cap
 def test_thm1_unique_decoding_one_pass_per_n(monkeypatch):
     from rmlab.verify import run_check
 
-    passes = _count_block_passes(monkeypatch)
+    searches = _count_ball_searches(monkeypatch)
     params = {"p": 2, "d": 1, "eps": "1/16", "samples": 3, "seed": 0, "ns": [3, 4, 5]}
     run_check("THM1_DESK", dict(params, check_unique_decoding=False))
-    sampled_only = len(passes)
+    sampled_only = len(searches)
     report = run_check("THM1_DESK", params)
-    assert len(passes) - 2 * sampled_only == 3
+    assert len(searches) - 2 * sampled_only == 3
     assert report.cases_checked == 3 * 3 + 16 + 32 + 64
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -222,10 +223,10 @@ class TestSampledMaxList:
         assert res.label == "codeword:0"
 
 
-# Every RM_p(n, d) with p in {2, 3, 5}, p^n <= 81 and at most 729 codewords.
+# Every RM_p(n, d) with p in {2, 3, 5, 7}, p^n <= 81 and at most 729 codewords.
 SMALL_CODES = [
     (p, n, d)
-    for p in (2, 3, 5)
+    for p in (2, 3, 5, 7)
     for n in range(1, 7)
     if p**n <= 81
     for d in range(n * (p - 1) + 1)
@@ -233,18 +234,27 @@ SMALL_CODES = [
 ]
 
 
+def _cosets(params):
+    """Coset representatives per affine part: p^(#basis monomials of degree >= 2)."""
+    return max(1, params.codeword_count // (params.p * params.block_length))
+
+
 @st.composite
 def ball_queries(draw, max_codewords=729):
-    p, n, d = draw(st.sampled_from([c for c in SMALL_CODES if CodeParams(*c).codeword_count <= max_codewords]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    p, n, d = draw(st.sampled_from([
+        c for c in SMALL_CODES if c[0] == p and CodeParams(*c).codeword_count <= max_codewords
+    ]))
     length = p**n
     # a grid value k/p^n, or a value just below or above one
     k = draw(st.integers(0, length))
     nudge = draw(st.sampled_from([0, -1, 1]))
     eta = Fraction(k, length) + Fraction(nudge, length * 10**20)
-    # comparison budgets: one chunk; one block in chunks of 3 centers;
-    # blocks of 4 codewords; one codeword per block and one center per chunk
+    # budgets in rows of p * p^n counts: one chunk; one row per chunk; a 1/p share of a
+    # center's cosets per chunk (a chunk boundary inside its cosets); two centers per chunk
     params = CodeParams(p, n, d)
-    budget = draw(st.sampled_from([rmcode._HIT_BUDGET, 3 * params.codeword_count * length, 4 * length, 1]))
+    row, cosets = p * length, _cosets(params)
+    budget = draw(st.sampled_from([rmcode._HIT_BUDGET, 1, row * max(1, cosets // p), row * 2 * cosets + row - 1]))
     return params, eta, budget
 
 
@@ -283,17 +293,82 @@ class TestBallKernel:
         assert (res.count, res.label, res.center) == (count, label, center)
 
     def test_centers_past_the_chunk_budget(self):
-        # 200 centers x 1024 codewords x 512 points: 2^26.6 comparisons, in chunks of 32 centers
+        # 200 centers x 2 x 512 counts per row: under a budget of 32 rows, chunks of 32 centers
         params = CodeParams(2, 9, 1)
         eta = Fraction(7, 16)
         rng = random.Random(0)
         words = [random_field_word(2, 9, rng) for _ in range(200)]
-        assert 200 * params.codeword_count * params.block_length > rmcode._HIT_BUDGET
         each = [ball_count(params, g, eta) for g in words]
-        assert rmcode._ball_counts(params, words, eta).tolist() == each
-        res = sampled_max_list_size(params, eta, 200, seed=0)
+        with mock.patch.object(rmcode, "_HIT_BUDGET", 32 * 2 * params.block_length):
+            assert rmcode._ball_counts(params, words, eta).tolist() == each
+            res = sampled_max_list_size(params, eta, 200, seed=0)
         best = each.index(max(each))
         assert (res.count, res.label, res.center) == (max(each), f"sample:{best}", words[best])
+
+    @pytest.mark.parametrize("code, budget", [((2, 5, 2), 2 * 32 * 300), ((3, 3, 2), 3 * 27 * 100), ((5, 2, 0), 25)])
+    def test_chunks_stay_within_the_budget(self, code, budget):
+        # each chunk's slopes x p^n x rows counts (p slopes, or 1 at d = 0) fit the budget,
+        # and the rows add up to centers x cosets
+        params = CodeParams(*code)
+        words = [random_field_word(params.p, params.n, random.Random(i)) for i in range(3)]
+        each = [ball_count(params, g, Fraction(1, 3)) for g in words]
+        shapes = []
+        transform = rmcode._affine_agreements
+
+        def recorded(h, p, slopes, dtype):
+            shapes.append((slopes, *h.shape))
+            return transform(h, p, slopes, dtype)
+
+        with mock.patch.object(rmcode, "_HIT_BUDGET", budget), \
+                mock.patch.object(rmcode, "_affine_agreements", recorded):
+            assert rmcode._ball_counts(params, words, Fraction(1, 3)).tolist() == each
+        assert all(slopes * length * rows <= budget for slopes, length, rows in shapes)
+        assert sum(rows for _, _, rows in shapes) == 3 * _cosets(params) and len(shapes) > 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("slopes", ["all", "zero"])
+    def test_affine_agreements_match_every_affine_function(self, p, slopes):
+        # out[b, a, r] against b + a.x evaluated point by point, a read as digits (a_n, ..., a_1);
+        # with one slope, a = 0 alone
+        n = 3 if p < 5 else 2
+        rng = np.random.default_rng(p)
+        h = rng.integers(0, p, size=(p**n, 3)).astype(np.uint8)
+        digits = p if slopes == "all" else 1
+        out = rmcode._affine_agreements(h, p, digits, np.uint16)
+        assert out.shape == (p, digits**n, 3)
+        points = list(itertools.product(range(p), repeat=n))  # x_1 most significant
+        for b in range(p):
+            for k, a_rev in enumerate(itertools.product(range(digits), repeat=n)):
+                affine = [(b + sum(ai * xi for ai, xi in zip(a_rev[::-1], x))) % p for x in points]
+                assert out[b, k].tolist() == [int((h[:, r] == affine).sum()) for r in range(3)]
+
+    @pytest.mark.parametrize("p, n", [(2, 14), (2, 16), (3, 9)])
+    def test_first_order_closed_form_past_brute_force(self, p, n):
+        # every nonconstant affine function has weight (1 - 1/p) p^n and the nonzero constants
+        # p^n, so at radius 1 - 1/p the zero word's ball holds p^(n+1) - p + 1 codewords and just
+        # below it only zero; p^n = 2^16 counts in uint32
+        params = CodeParams(p, n, 1)
+        zero = Word.zeros(p, n)
+        radius = 1 - Fraction(1, p)
+        assert ball_count(params, zero, radius) == p ** (n + 1) - p + 1
+        assert ball_count(params, zero, radius - Fraction(1, 10**30)) == 1
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (3, 2), (5, 1), (7, 1)])
+    def test_full_code_balls_are_hamming_balls(self, p, n):
+        # at d = n(p-1) every word is a codeword: a ball of radius k/p^n holds
+        # sum_{j <= k} C(p^n, j) (p-1)^j codewords, whatever the center
+        params = CodeParams(p, n, n * (p - 1))
+        length = params.block_length
+        g = random_field_word(p, n, random.Random(p + n))
+        table = rmcode._basis_matrix(params)
+        for k in range(length + 1):
+            eta = Fraction(k, length)
+            expect = sum(math.comb(length, j) * (p - 1) ** j for j in range(k + 1))
+            res = list_in_ball(params, g, eta)
+            assert ball_count(params, g, eta) == res.count == expect
+            assert np.all(np.diff(res.indices) > 0)
+            members = rmcode._coeff_rows(params, res.indices) @ table % p
+            assert np.all((members != np.array(g.values)).sum(axis=1) <= k)
 
     @pytest.mark.parametrize("center", [
         Word.torus_word(2, 3, 1, [0, 1, 1, 0, 1, 0, 0, 1]),
